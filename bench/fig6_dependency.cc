@@ -41,6 +41,8 @@ class OrderRecorder : public ck::AppKernel {
 int main(int argc, char** argv) {
   ck::ObsSession obs(argc, argv);
   ckbench::ObsSlot() = &obs;
+  // A NO on the cascade-order check fails the run (exit 1).
+  bool order_ok = false;
   // (a) cascade order on one kernel unload.
   {
     ckbench::World world;
@@ -80,6 +82,7 @@ int main(int argc, char** argv) {
     bool space_last = recorder.order.back() == 'S';
     std::printf("threads before this space's mappings: %s; space written back last: %s\n",
                 threads_first ? "yes" : "NO", space_last ? "yes" : "NO");
+    order_ok = threads_first && space_last;
   }
 
   // (b) unload cost vs. dependent population.
@@ -128,5 +131,5 @@ int main(int argc, char** argv) {
   ckbench::Note("take several milliseconds, it is performed with interrupts enabled and very");
   ckbench::Note("infrequently' (section 5.2).");
   obs.Finish();
-  return 0;
+  return order_ok ? 0 : 1;
 }

@@ -241,30 +241,25 @@ int main(int argc, char** argv) {
   }
   ckbench::Rule();
   ckbench::Note("shape checks:");
-  std::printf("  mapping load cheapest of the plain loads:    %s\n",
-              (mappings.sim_load < threads.sim_load && mappings.sim_load < spaces.sim_load &&
-               mappings.sim_load < kernels.sim_load)
-                  ? "yes (matches paper)"
-                  : "NO");
-  std::printf("  kernel load most expensive (access array):   %s\n",
-              (kernels.sim_load > threads.sim_load && kernels.sim_load > spaces.sim_load)
-                  ? "yes (matches paper)"
-                  : "NO");
-  std::printf("  writeback adds a large constant to loads:    %s\n",
-              (mappings.sim_load_wb > 1.5 * mappings.sim_load &&
-               threads.sim_load_wb > 1.5 * threads.sim_load)
-                  ? "yes (matches paper)"
-                  : "NO");
-  std::printf("  thread writeback costliest per-object wb:    %s\n",
-              ((threads.sim_load_wb - threads.sim_load) >
-               (spaces.sim_load_wb - spaces.sim_load))
-                  ? "yes (matches paper)"
-                  : "NO");
-  std::printf("  kernel unload cheapest unload (no children): %s\n",
-              (kernels.sim_unload < threads.sim_unload && kernels.sim_unload < mappings.sim_unload)
-                  ? "yes (matches paper)"
-                  : "NO");
+  // Any NO fails the run (exit 1), so ctest gates on the paper's shape.
+  int failures = 0;
+  auto check = [&failures](const char* label, bool ok) {
+    std::printf("%s%s\n", label, ok ? "yes (matches paper)" : "NO");
+    failures += ok ? 0 : 1;
+  };
+  check("  mapping load cheapest of the plain loads:    ",
+        mappings.sim_load < threads.sim_load && mappings.sim_load < spaces.sim_load &&
+            mappings.sim_load < kernels.sim_load);
+  check("  kernel load most expensive (access array):   ",
+        kernels.sim_load > threads.sim_load && kernels.sim_load > spaces.sim_load);
+  check("  writeback adds a large constant to loads:    ",
+        mappings.sim_load_wb > 1.5 * mappings.sim_load &&
+            threads.sim_load_wb > 1.5 * threads.sim_load);
+  check("  thread writeback costliest per-object wb:    ",
+        (threads.sim_load_wb - threads.sim_load) > (spaces.sim_load_wb - spaces.sim_load));
+  check("  kernel unload cheapest unload (no children): ",
+        kernels.sim_unload < threads.sim_unload && kernels.sim_unload < mappings.sim_unload);
   std::printf("  optimized combined call < load + separate resume trap: yes by construction\n");
   obs.Finish();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -824,19 +824,16 @@ TEST(TraceExecDifferential, ProfilerHistogramsMatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-MPM parallel dispatch: the batch protocol on host worker threads must
-// be bit-identical to the same protocol run inline (cpu_host_threads=0), and
-// cycle-exactness must hold under batching for every execution mode.
+// Four CPUs, one guest thread each in its own space: every turn of the
+// dispatch loop interleaves quanta of independent spaces across CPUs. Cycle
+// exactness must hold for every execution mode under that interleaving.
 // ---------------------------------------------------------------------------
 
-Snapshot RunParallelWorkload(bool cpus_parallel, uint32_t host_threads, bool fastpath,
-                             bool trace_exec) {
+Snapshot RunParallelWorkload(bool fastpath, bool trace_exec) {
   WorldOptions options;
   options.cpus = 4;
   options.ck.fastpath = fastpath;
   options.ck.trace_exec = trace_exec;
-  options.ck.cpus_parallel = cpus_parallel;
-  options.ck.cpu_host_threads = host_threads;
   TestWorld world(options);
   TrapAppKernel app;
   world.Launch(app);
@@ -858,8 +855,7 @@ Snapshot RunParallelWorkload(bool cpus_parallel, uint32_t host_threads, bool fas
       halt
   )", 0x10000);
 
-  // One guest thread per CPU, each in its own space: every batch collects
-  // four independent quanta, the shape the worker pool parallelizes.
+  // One guest thread per CPU, each in its own space.
   std::vector<uint32_t> threads;
   for (uint32_t c = 0; c < 4; ++c) {
     uint32_t space = app.CreateSpace(api);
@@ -891,29 +887,12 @@ Snapshot RunParallelWorkload(bool cpus_parallel, uint32_t host_threads, bool fas
   return s;
 }
 
-TEST(IntraMpmParallelDifferential, WorkerThreadsMatchInlineBatch) {
-  // The determinism contract: batch dispatch on host worker threads is
-  // bit-identical to the same batch protocol run inline.
-  ExpectIdentical(RunParallelWorkload(true, 4, true, true),
-                  RunParallelWorkload(true, 0, true, true));
+TEST(FastPathDifferential, FourCpusOneSpaceEach) {
+  ExpectIdentical(RunParallelWorkload(true, true), RunParallelWorkload(false, false));
 }
 
-TEST(IntraMpmParallelDifferential, WorkerThreadsMatchInlineBatchTwoThreads) {
-  // An uneven worker count (2 threads, 4 jobs) exercises queue draining.
-  ExpectIdentical(RunParallelWorkload(true, 2, true, true),
-                  RunParallelWorkload(true, 0, true, true));
-}
-
-TEST(IntraMpmParallelDifferential, FastSlowDifferentialUnderBatching) {
-  // Cycle-exactness holds inside the batch protocol too: fast path (with
-  // traces) vs slow path, both batched on worker threads.
-  ExpectIdentical(RunParallelWorkload(true, 4, true, true),
-                  RunParallelWorkload(true, 4, false, false));
-}
-
-TEST(IntraMpmParallelDifferential, TraceOnOffUnderBatching) {
-  ExpectIdentical(RunParallelWorkload(true, 4, true, true),
-                  RunParallelWorkload(true, 4, true, false));
+TEST(TraceExecDifferential, FourCpusOneSpaceEach) {
+  ExpectIdentical(RunParallelWorkload(true, true), RunParallelWorkload(true, false));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/appkernel/app_kernel_base.h"
 #include "src/base/histogram.h"
 #include "src/ck/cache_kernel.h"
+#include "src/ck/observability.h"
 #include "src/isa/assembler.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/flight_recorder.h"
@@ -557,6 +559,23 @@ TEST_F(ObsWorldTest, RegisterMetricsExposesKernelState) {
   EXPECT_NE(json.find("\"ck.faults_forwarded\""), std::string::npos);
   EXPECT_NE(json.find("\"ck.fault_us.total\""), std::string::npos);
   EXPECT_NE(json.find("\"hw.tlb.misses.cpu0\""), std::string::npos);
+}
+
+// --- ObsSession flag parsing ---
+
+// Parse `flag` as the only command-line argument.
+void ParseOneFlag(const char* flag) {
+  std::string prog = "obs_test";
+  std::string arg = flag;
+  char* argv[] = {prog.data(), arg.data(), nullptr};
+  int argc = 2;
+  ck::ObsSession session(argc, argv);
+}
+
+TEST(ObsSessionDeathTest, UnknownFlagExitsWithUsage) {
+  // A removed flag and a typo'd one are both rejected, never ignored.
+  EXPECT_EXIT(ParseOneFlag("--cpus-parallel"), ::testing::ExitedWithCode(2), "usage:");
+  EXPECT_EXIT(ParseOneFlag("--polcy=fifo"), ::testing::ExitedWithCode(2), "usage:");
 }
 
 // --- JsonLint itself ---

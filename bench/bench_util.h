@@ -127,6 +127,20 @@ inline void Rule() {
   std::printf("------------------------------------------------------------------------------\n");
 }
 
+// Paper shape checks that print nothing while they hold: a failed check
+// prints "shape check NO: <label>" and makes exit_code() 1.
+struct ShapeGate {
+  int failures = 0;
+
+  void Check(const char* label, bool ok) {
+    if (!ok) {
+      std::printf("shape check NO: %s\n", label);
+      ++failures;
+    }
+  }
+  int exit_code() const { return failures == 0 ? 0 : 1; }
+};
+
 // Print one distribution as a table row: count, mean, percentiles, spread.
 // Units are whatever the caller put into the Stats (usually simulated us).
 inline void StatsRow(const std::string& label, const ckbase::Stats& s) {

@@ -96,6 +96,10 @@ int main(int argc, char** argv) {
   ckbench::Note("shape checks: total is ~100 us-order; the mapping-load half costs about twice");
   ckbench::Note("the transfer half; both are trivial against a fault that needs page zeroing,");
   ckbench::Note("copying or backing-store I/O (section 5.3).");
+  ckbench::ShapeGate gate;
+  gate.Check("per-fault total within 3x of the paper's 99 us",
+             per_fault_us >= 99.0 / 3 && per_fault_us <= 99.0 * 3);
+  gate.Check("mapping load + resume costs more than the transfer", load_resume_us > transfer_us);
 
   // Demonstrate that claim: faults WITH zero-fill cost much more.
   {
@@ -120,7 +124,8 @@ int main(int argc, char** argv) {
     std::printf("\nper-fault cost when the handler must also zero the page: %.1f us "
                 "(mechanism share: %.0f%%)\n",
                 with_zero, 100.0 * per_fault_us / with_zero);
+    gate.Check("a zero-fill fault costs more than the mechanism alone", with_zero > per_fault_us);
   }
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

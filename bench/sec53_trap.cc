@@ -56,14 +56,14 @@ int main(int argc, char** argv) {
   double per_call_us = ckbench::ToUs(elapsed) / static_cast<double>(calls);
   double loop_overhead_us =
       ckbench::ToUs(2 * world.machine().cost().instruction) / 1.0;  // addi + bne
+  double getpid_us = per_call_us - loop_overhead_us;
 
   ckbench::Title("Section 5.3: getpid via trap forwarding");
   std::printf("%-44s %10s\n", "", "us/call");
   ckbench::Rule();
   std::printf("%-44s %10.0f\n", "paper: UNIX getpid through the emulator", 37.0);
   std::printf("%-44s %10.0f\n", "paper: same operation on Mach 2.5 (NextStation)", 25.0);
-  std::printf("%-44s %10.1f\n", "simulated: getpid through our emulator",
-              per_call_us - loop_overhead_us);
+  std::printf("%-44s %10.1f\n", "simulated: getpid through our emulator", getpid_us);
   ckbench::Rule();
   std::printf("calls measured: %llu, total simulated time %.1f us\n",
               static_cast<unsigned long long>(calls), ckbench::ToUs(elapsed));
@@ -72,6 +72,12 @@ int main(int argc, char** argv) {
   ckbench::Note("shape check: same order of magnitude as the paper; the cost is dominated by");
   ckbench::Note("trap entry/exit and the redirect into the application kernel (Figure 2 path),");
   ckbench::Note("and is insignificant against real system-call processing (section 5.3).");
+
+  ckbench::ShapeGate gate;
+  gate.Check("getpid within 3x of the paper's 37 us",
+             getpid_us >= 37.0 / 3 && getpid_us <= 37.0 * 3);
+  gate.Check("every measured call was a forwarded trap",
+             world.ck().stats().traps_forwarded >= calls);
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

@@ -1,6 +1,5 @@
 #include "src/isa/assembler.h"
 
-#include <array>
 #include <cctype>
 #include <cstdio>
 #include <optional>
@@ -9,10 +8,6 @@
 
 namespace ckisa {
 namespace {
-
-struct Token {
-  std::string text;
-};
 
 // Strip comments, split a line into a label (optional) and operands.
 std::string StripComment(std::string_view line) {
@@ -133,31 +128,14 @@ int WordCount(const std::vector<std::string>& tokens) {
   return 1;
 }
 
-struct OpInfo {
-  Op op;
-  enum Kind { kR3, kI2, kMem, kBranch, kJal, kJalr, kTrapImm, kBare, kLuiKind } kind;
-};
-
-const std::map<std::string, OpInfo>& OpTable() {
-  static const std::map<std::string, OpInfo> table = {
-      {"nop", {Op::kNop, OpInfo::kBare}},       {"halt", {Op::kHalt, OpInfo::kBare}},
-      {"add", {Op::kAdd, OpInfo::kR3}},         {"sub", {Op::kSub, OpInfo::kR3}},
-      {"and", {Op::kAnd, OpInfo::kR3}},         {"or", {Op::kOr, OpInfo::kR3}},
-      {"xor", {Op::kXor, OpInfo::kR3}},         {"sll", {Op::kSll, OpInfo::kR3}},
-      {"srl", {Op::kSrl, OpInfo::kR3}},         {"sra", {Op::kSra, OpInfo::kR3}},
-      {"mul", {Op::kMul, OpInfo::kR3}},         {"div", {Op::kDiv, OpInfo::kR3}},
-      {"rem", {Op::kRem, OpInfo::kR3}},         {"slt", {Op::kSlt, OpInfo::kR3}},
-      {"sltu", {Op::kSltu, OpInfo::kR3}},       {"addi", {Op::kAddi, OpInfo::kI2}},
-      {"andi", {Op::kAndi, OpInfo::kI2}},       {"ori", {Op::kOri, OpInfo::kI2}},
-      {"xori", {Op::kXori, OpInfo::kI2}},       {"slti", {Op::kSlti, OpInfo::kI2}},
-      {"lui", {Op::kLui, OpInfo::kLuiKind}},    {"lw", {Op::kLw, OpInfo::kMem}},
-      {"sw", {Op::kSw, OpInfo::kMem}},          {"lb", {Op::kLb, OpInfo::kMem}},
-      {"sb", {Op::kSb, OpInfo::kMem}},          {"beq", {Op::kBeq, OpInfo::kBranch}},
-      {"bne", {Op::kBne, OpInfo::kBranch}},     {"blt", {Op::kBlt, OpInfo::kBranch}},
-      {"bge", {Op::kBge, OpInfo::kBranch}},     {"jal", {Op::kJal, OpInfo::kJal}},
-      {"jalr", {Op::kJalr, OpInfo::kJalr}},     {"trap", {Op::kTrap, OpInfo::kTrapImm}},
-  };
-  return table;
+// The table row spelled `mnemonic`, or nullptr.
+const OpInfo* FindMnemonic(const std::string& mnemonic) {
+  for (const OpInfo& info : kOps) {
+    if (mnemonic == info.mnemonic) {
+      return &info;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -248,7 +226,7 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
         }
         loc += static_cast<uint32_t>((*n + 3) & ~int64_t{3});
       } else {
-        if (OpTable().count(m) == 0 && m != "li" && m != "la" && m != "mv" && m != "j" &&
+        if (FindMnemonic(m) == nullptr && m != "li" && m != "la" && m != "mv" && m != "j" &&
             m != "call" && m != "ret") {
           return fail(st.line_number, "unknown mnemonic '" + m + "'");
         }
@@ -370,47 +348,46 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
       continue;
     }
 
-    auto it = OpTable().find(m);
-    if (it == OpTable().end()) {
+    const OpInfo* info = FindMnemonic(m);
+    if (info == nullptr) {
       return fail(line, "unknown mnemonic '" + m + "'");
     }
-    const OpInfo& info = it->second;
     uint32_t word = 0;
     bool ok1 = true, ok2 = true, ok3 = true;
 
-    switch (info.kind) {
-      case OpInfo::kBare:
-        word = Encode(info.op, 0, 0, 0);
+    switch (info->format) {
+      case OpFormat::kBare:
+        word = Encode(info->op, 0, 0, 0);
         break;
-      case OpInfo::kR3: {
+      case OpFormat::kR3: {
         uint8_t rd = reg(1, ok1), rs1 = reg(2, ok2), rs2 = reg(3, ok3);
         if (!ok1 || !ok2 || !ok3) {
           return fail(line, m + " needs three registers");
         }
-        word = EncodeR(info.op, rd, rs1, rs2);
+        word = EncodeR(info->op, rd, rs1, rs2);
         break;
       }
-      case OpInfo::kI2: {
+      case OpFormat::kI2: {
         uint8_t rd = reg(1, ok1), rs1 = reg(2, ok2);
         bool vok = false;
         int64_t imm = resolve(toks.size() >= 4 ? toks[3] : "", line, vok);
         if (!ok1 || !ok2 || !vok || imm < -32768 || imm > 65535) {
           return fail(line, m + " needs rd, rs, imm16");
         }
-        word = Encode(info.op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
+        word = Encode(info->op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
         break;
       }
-      case OpInfo::kLuiKind: {
+      case OpFormat::kLui: {
         uint8_t rd = reg(1, ok1);
         bool vok = false;
         int64_t imm = resolve(toks.size() >= 3 ? toks[2] : "", line, vok);
         if (!ok1 || !vok) {
           return fail(line, "lui needs rd, imm16");
         }
-        word = Encode(info.op, rd, 0, static_cast<uint32_t>(imm) & 0xffff);
+        word = Encode(info->op, rd, 0, static_cast<uint32_t>(imm) & 0xffff);
         break;
       }
-      case OpInfo::kMem: {
+      case OpFormat::kMem: {
         // "lw rd, imm(rs1)" tokenizes to [lw, rd, imm, rs1].
         uint8_t rd = reg(1, ok1);
         bool vok = false;
@@ -419,10 +396,10 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
         if (!ok1 || !ok2 || !vok || imm < -32768 || imm > 32767) {
           return fail(line, m + " needs rd, imm(rs)");
         }
-        word = Encode(info.op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
+        word = Encode(info->op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
         break;
       }
-      case OpInfo::kBranch: {
+      case OpFormat::kBranch: {
         uint8_t r1 = reg(1, ok1), r2 = reg(2, ok2);
         bool vok = false;
         int64_t target = resolve(toks.size() >= 4 ? toks[3] : "", line, vok);
@@ -433,10 +410,10 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
         if (off < -32768 || off > 32767) {
           return fail(line, "branch target out of range");
         }
-        word = Encode(info.op, r1, r2, static_cast<uint32_t>(off) & 0xffff);
+        word = Encode(info->op, r1, r2, static_cast<uint32_t>(off) & 0xffff);
         break;
       }
-      case OpInfo::kJal: {
+      case OpFormat::kJal: {
         uint8_t rd = reg(1, ok1);
         bool vok = false;
         int64_t target = resolve(toks.size() >= 3 ? toks[2] : "", line, vok);
@@ -447,26 +424,26 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
         if (off < -32768 || off > 32767) {
           return fail(line, "jump target out of range");
         }
-        word = Encode(info.op, rd, 0, static_cast<uint32_t>(off) & 0xffff);
+        word = Encode(info->op, rd, 0, static_cast<uint32_t>(off) & 0xffff);
         break;
       }
-      case OpInfo::kJalr: {
+      case OpFormat::kJalr: {
         uint8_t rd = reg(1, ok1), rs1 = reg(2, ok2);
         bool vok = false;
         int64_t imm = toks.size() >= 4 ? resolve(toks[3], line, vok) : (vok = true, 0);
         if (!ok1 || !ok2 || !vok) {
           return fail(line, "jalr needs rd, rs[, imm]");
         }
-        word = Encode(info.op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
+        word = Encode(info->op, rd, rs1, static_cast<uint32_t>(imm) & 0xffff);
         break;
       }
-      case OpInfo::kTrapImm: {
+      case OpFormat::kTrap: {
         bool vok = false;
         int64_t imm = resolve(toks.size() >= 2 ? toks[1] : "", line, vok);
         if (!vok) {
           return fail(line, "trap needs a number");
         }
-        word = Encode(info.op, 0, 0, static_cast<uint32_t>(imm) & 0xffff);
+        word = Encode(info->op, 0, 0, static_cast<uint32_t>(imm) & 0xffff);
         break;
       }
     }
@@ -479,86 +456,44 @@ AssembleResult Assemble(std::string_view source, uint32_t base) {
   return result;
 }
 
-std::string Disassemble(uint32_t word) {
+std::string Disassemble(uint32_t word, uint32_t pc) {
   Decoded d = Decode(word);
+  const OpInfo* info = FindOp(d.op);
   char buf[96];
-  auto r = [](uint8_t n) { return "r" + std::to_string(n); };
-
-  switch (d.op) {
-    case Op::kNop:
-      return "nop";
-    case Op::kHalt:
-      return "halt";
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kRem:
-    case Op::kSlt:
-    case Op::kSltu: {
-      static const std::map<Op, const char*> names = {
-          {Op::kAdd, "add"}, {Op::kSub, "sub"}, {Op::kAnd, "and"}, {Op::kOr, "or"},
-          {Op::kXor, "xor"}, {Op::kSll, "sll"}, {Op::kSrl, "srl"}, {Op::kSra, "sra"},
-          {Op::kMul, "mul"}, {Op::kDiv, "div"}, {Op::kRem, "rem"}, {Op::kSlt, "slt"},
-          {Op::kSltu, "sltu"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %s, %s", names.at(d.op), r(d.rd).c_str(),
-                    r(d.rs1).c_str(), r(d.rs2).c_str());
-      return buf;
-    }
-    case Op::kAddi:
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:
-    case Op::kSlti: {
-      static const std::map<Op, const char*> names = {{Op::kAddi, "addi"},
-                                                      {Op::kAndi, "andi"},
-                                                      {Op::kOri, "ori"},
-                                                      {Op::kXori, "xori"},
-                                                      {Op::kSlti, "slti"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %s, %d", names.at(d.op), r(d.rd).c_str(),
-                    r(d.rs1).c_str(), d.imm);
-      return buf;
-    }
-    case Op::kLui:
-      std::snprintf(buf, sizeof(buf), "lui %s, %d", r(d.rd).c_str(), d.imm & 0xffff);
-      return buf;
-    case Op::kLw:
-    case Op::kSw:
-    case Op::kLb:
-    case Op::kSb: {
-      static const std::map<Op, const char*> names = {
-          {Op::kLw, "lw"}, {Op::kSw, "sw"}, {Op::kLb, "lb"}, {Op::kSb, "sb"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %d(%s)", names.at(d.op), r(d.rd).c_str(), d.imm,
-                    r(d.rs1).c_str());
-      return buf;
-    }
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge: {
-      static const std::map<Op, const char*> names = {
-          {Op::kBeq, "beq"}, {Op::kBne, "bne"}, {Op::kBlt, "blt"}, {Op::kBge, "bge"}};
-      std::snprintf(buf, sizeof(buf), "%s %s, %s, %+d", names.at(d.op), r(d.rd).c_str(),
-                    r(d.rs1).c_str(), d.imm);
-      return buf;
-    }
-    case Op::kJal:
-      std::snprintf(buf, sizeof(buf), "jal %s, %+d", r(d.rd).c_str(), d.imm);
-      return buf;
-    case Op::kJalr:
-      std::snprintf(buf, sizeof(buf), "jalr %s, %s, %d", r(d.rd).c_str(), r(d.rs1).c_str(), d.imm);
-      return buf;
-    case Op::kTrap:
-      std::snprintf(buf, sizeof(buf), "trap %d", d.imm & 0xffff);
-      return buf;
+  if (info == nullptr) {
+    std::snprintf(buf, sizeof(buf), ".word 0x%08x", word);
+    return buf;
   }
-  std::snprintf(buf, sizeof(buf), ".word 0x%08x", word);
+  const char* m = info->mnemonic;
+  const uint32_t target = BranchTarget(pc, d);
+  switch (info->format) {
+    case OpFormat::kBare:
+      return m;
+    case OpFormat::kR3:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, r%d", m, d.rd, d.rs1, d.rs2);
+      break;
+    case OpFormat::kI2:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d", m, d.rd, d.rs1, d.imm);
+      break;
+    case OpFormat::kLui:
+      std::snprintf(buf, sizeof(buf), "%s r%d, %d", m, d.rd, d.imm & 0xffff);
+      break;
+    case OpFormat::kMem:
+      std::snprintf(buf, sizeof(buf), "%s r%d, %d(r%d)", m, d.rd, d.imm, d.rs1);
+      break;
+    case OpFormat::kBranch:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, 0x%x", m, d.rd, d.rs1, target);
+      break;
+    case OpFormat::kJal:
+      std::snprintf(buf, sizeof(buf), "%s r%d, 0x%x", m, d.rd, target);
+      break;
+    case OpFormat::kJalr:
+      std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d", m, d.rd, d.rs1, d.imm);
+      break;
+    case OpFormat::kTrap:
+      std::snprintf(buf, sizeof(buf), "%s %d", m, d.imm & 0xffff);
+      break;
+  }
   return buf;
 }
 

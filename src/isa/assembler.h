@@ -39,10 +39,6 @@ struct Program {
   std::map<std::string, uint32_t> labels;  // label -> virtual address
 
   uint32_t SizeBytes() const { return static_cast<uint32_t>(words.size()) * 4; }
-  uint32_t LabelOr(const std::string& name, uint32_t fallback) const {
-    auto it = labels.find(name);
-    return it == labels.end() ? fallback : it->second;
-  }
 };
 
 struct AssembleResult {
@@ -53,8 +49,10 @@ struct AssembleResult {
 
 AssembleResult Assemble(std::string_view source, uint32_t base);
 
-// Disassemble one instruction word (for debugging and the disassembler test).
-std::string Disassemble(uint32_t word);
+// Disassemble the instruction word at virtual address `pc`. Branch and jal
+// targets print as absolute addresses, so Assemble(text, pc) gives back
+// `word` for every word the assembler can produce.
+std::string Disassemble(uint32_t word, uint32_t pc);
 
 }  // namespace ckisa
 

@@ -14,26 +14,6 @@ void ExecCache::Refill(DecodedPage& page, uint32_t frame, uint64_t generation) {
   page.generation = generation;
 }
 
-namespace {
-
-bool IsMemOp(Op op) { return op == Op::kLw || op == Op::kSw || op == Op::kLb || op == Op::kSb; }
-
-bool IsBranchOp(Op op) {
-  return op == Op::kBeq || op == Op::kBne || op == Op::kBlt || op == Op::kBge;
-}
-
-// Ops that write a destination register (the executor clears r0 after a step
-// only when the step can dirty it; see the kWritesR0 flag).
-bool WritesRd(Op op) {
-  if (IsBranchOp(op) || op == Op::kSw || op == Op::kSb || op == Op::kTrap || op == Op::kHalt ||
-      op == Op::kNop) {
-    return false;
-  }
-  return static_cast<uint8_t>(op) <= static_cast<uint8_t>(Op::kRem);
-}
-
-}  // namespace
-
 uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace& t) {
   t.head_vpc = head_vpc;
   t.asid = asid;
@@ -93,28 +73,30 @@ uint32_t BuildTrace(const FastPath& fp, uint16_t asid, uint32_t head_vpc, Trace&
     s.page_slot = static_cast<uint8_t>(slot);
     s.flags = 0;
 
+    const OpClass cls = ClassOf(d.op);
     uint32_t next = pc + 4;
-    bool terminal = false;
-    if (static_cast<uint8_t>(d.op) > static_cast<uint8_t>(Op::kRem)) {
-      terminal = true;  // undecodable: executor raises BadInstruction
-    } else if (d.op == Op::kTrap || d.op == Op::kHalt || d.op == Op::kJalr) {
-      terminal = true;  // executor computes the jalr target / trap resume pc
-    } else if (IsBranchOp(d.op)) {
+    // The executor defers these steps to the single-step loop every time
+    // (they compute their successor or end the run), so the trace ends there.
+    const bool terminal = cls == OpClass::kJalr || cls == OpClass::kTrap ||
+                          cls == OpClass::kHalt || cls == OpClass::kUndefined;
+    if (cls == OpClass::kBranch) {
       // Static prediction: backward taken (loop closing, unrolls the loop
       // into the trace), forward not-taken.
       if (d.imm < 0) {
         s.flags |= TraceStep::kPredictedTaken;
-        next = pc + 4 + static_cast<uint32_t>(d.imm) * 4;
+        next = BranchTarget(pc, d);
       }
-    } else if (d.op == Op::kJal) {
-      next = pc + 4 + static_cast<uint32_t>(d.imm) * 4;
+    } else if (cls == OpClass::kJal) {
+      next = BranchTarget(pc, d);
     }
-    if (WritesRd(d.op) && d.rd == 0) {
+    // Executed steps that write rd: the executor clears r0 only after these.
+    const bool writes_rd = cls == OpClass::kAlu || cls == OpClass::kLoad || cls == OpClass::kJal;
+    if (writes_rd && d.rd == 0) {
       s.flags |= TraceStep::kWritesR0;
     }
     s.next_vpc = next;
 
-    uint32_t data = IsMemOp(d.op) ? 1u : 0u;
+    const uint32_t data = (cls == OpClass::kLoad || cls == OpClass::kStore) ? 1u : 0u;
     t.acc_prefix[count + 1] = t.acc_prefix[count] + step_cost + data * data_cost;
     t.touch_prefix[count + 1] = t.touch_prefix[count] + 1 + data;
     for (uint32_t p = 0; p < Trace::kMaxPages; ++p) {

@@ -127,22 +127,23 @@ class ExecCache {
 // (backward conditional branches predicted taken, forward predicted
 // not-taken, direct jumps followed). Loops unroll naturally into the trace
 // body up to kMaxSteps. Execution replays the steps with ZERO per-step
-// decode, micro-TLB probing or dispatch-table lookup; any deviation from the
-// predicted pure-fast path (guard mismatch, bus fallback, store into one of
-// the trace's own frames, message write) exits the trace after completing the
-// current step exactly as the single-step interpreter would have.
+// decode, micro-TLB probing or dispatch-table lookup, and runs only steps
+// that finish on the pure fast path. It exits BEFORE any other step
+// (misaligned or non-fast data access, store to a message page or into the
+// trace's own frames, jalr, trap, halt, undefined opcode) and hands it to
+// the single-step interpreter; a mispredicted branch exits after it.
 //
 // Validity is keyed on ALL touched physical frames: per fetched page the
-// trace records (vpage, pframe, frame_generation); entry revalidates each
+// trace records (vpage, pframe, frame_generation); entry checks each
 // against the live TLB (side-effect-free Tlb::Probe) and
 // PhysicalMemory::frame_generation, so self-modifying code, page remaps and
 // frame reuse invalidate traces exactly as they invalidate decoded frames.
 //
 // Cycle-exactness: per-step cycle charges and TLB touch ordinals are
 // precomputed as prefix sums at build time and committed wholesale at trace
-// exit (or before any bus call), reproducing the exact accumulator and
-// Tlb lru/tick/hit state a step-by-step run would leave. See
-// docs/PERFORMANCE.md ("Superblock traces").
+// exit, reproducing the exact accumulator and Tlb lru/tick/hit state a
+// step-by-step run would leave. See docs/PERFORMANCE.md ("Superblock
+// traces").
 
 struct TraceStep {
   Decoded d;

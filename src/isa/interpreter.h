@@ -39,10 +39,10 @@ class GuestBus {
   };
 
   virtual MemResult Fetch(uint32_t vaddr) = 0;
-  virtual MemResult Load32(uint32_t vaddr) = 0;
-  virtual MemResult Load8(uint32_t vaddr) = 0;
-  virtual MemResult Store32(uint32_t vaddr, uint32_t value) = 0;
-  virtual MemResult Store8(uint32_t vaddr, uint8_t value) = 0;
+  // A data access `bytes` wide: 4 (a word, its vaddr 4-aligned) or 1 (the
+  // low byte of `value`; a load zero-extends).
+  virtual MemResult Load(uint32_t vaddr, uint32_t bytes) = 0;
+  virtual MemResult Store(uint32_t vaddr, uint32_t value, uint32_t bytes) = 0;
 
   // Charge non-memory execution cost (per instruction).
   virtual void ChargeInstruction() = 0;

@@ -260,30 +260,52 @@ TEST(KernelObjectTest, AllowsPhysicalByGroup) {
 
 class AssemblerRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
+// A random word of `info`'s format: random operand fields, every field the
+// text form does not carry zero, so the assembler can produce it.
+uint32_t RandomWord(const ckisa::OpInfo& info, ckbase::Rng& rng) {
+  auto reg = [&] { return static_cast<uint32_t>(rng.Below(32)); };
+  // Bias the immediate towards the sign edges 0x7fff / 0x8000 and the ends.
+  static constexpr uint32_t kEdges[] = {0x0000, 0x0001, 0x7fff, 0x8000, 0x8001, 0xffff};
+  uint32_t imm = rng.Below(2) == 0 ? kEdges[rng.Below(6)] : static_cast<uint32_t>(rng.Below(65536));
+  switch (info.format) {
+    case ckisa::OpFormat::kBare:
+      return ckisa::Encode(info.op, 0, 0, 0);
+    case ckisa::OpFormat::kR3:
+      return ckisa::EncodeR(info.op, reg(), reg(), reg());
+    case ckisa::OpFormat::kI2:
+    case ckisa::OpFormat::kMem:
+    case ckisa::OpFormat::kBranch:
+    case ckisa::OpFormat::kJalr:
+      return ckisa::Encode(info.op, reg(), reg(), imm);
+    case ckisa::OpFormat::kLui:
+    case ckisa::OpFormat::kJal:
+      return ckisa::Encode(info.op, reg(), 0, imm);
+    case ckisa::OpFormat::kTrap:
+      return ckisa::Encode(info.op, 0, 0, imm);
+  }
+  return 0;
+}
+
 TEST_P(AssemblerRoundTripTest, DisassembleReassembleFixpoint) {
-  // Random R/I-type instructions survive disassemble -> reassemble.
+  // Every op-table row (and an undefined opcode, as .word) survives
+  // disassemble -> reassemble at its pc, which keeps every branch and jal
+  // target (pc + 4 + off*4, off in [-32768, 32767]) in the address space.
   ckbase::Rng rng(GetParam());
-  for (int i = 0; i < 200; ++i) {
-    uint32_t op = static_cast<uint32_t>(rng.Range(2, 22));  // arith + memory ops
-    uint32_t word;
-    if (op <= 12) {
-      word = ckisa::EncodeR(static_cast<ckisa::Op>(op), static_cast<uint32_t>(rng.Below(32)),
-                            static_cast<uint32_t>(rng.Below(32)),
-                            static_cast<uint32_t>(rng.Below(32)));
-    } else {
-      // lui has no rs1 operand in the text form, so its rs1 bits must be 0
-      // for the round trip to be exact.
-      uint32_t rs1 = op == static_cast<uint32_t>(ckisa::Op::kLui)
-                         ? 0
-                         : static_cast<uint32_t>(rng.Below(32));
-      word = ckisa::Encode(static_cast<ckisa::Op>(op), static_cast<uint32_t>(rng.Below(32)), rs1,
-                           static_cast<uint32_t>(rng.Below(65536)));
+  for (int round = 0; round < 20; ++round) {
+    uint32_t pc = 0x00100000 + static_cast<uint32_t>(rng.Below(1024)) * 4;
+    std::vector<uint32_t> words;
+    for (const ckisa::OpInfo& info : ckisa::kOps) {
+      words.push_back(RandomWord(info, rng));
     }
-    std::string text = ckisa::Disassemble(word);
-    ckisa::AssembleResult result = ckisa::Assemble(text, 0);
-    ASSERT_TRUE(result.ok) << text << ": " << result.error;
-    ASSERT_EQ(result.program.words.size(), 1u) << text;
-    EXPECT_EQ(result.program.words[0], word) << text;
+    words.push_back((static_cast<uint32_t>(rng.Range(ckisa::kOpCount, 63)) << 26) |
+                    static_cast<uint32_t>(rng.Below(1u << 26)));
+    for (uint32_t word : words) {
+      std::string text = ckisa::Disassemble(word, pc);
+      ckisa::AssembleResult result = ckisa::Assemble(text, pc);
+      ASSERT_TRUE(result.ok) << text << ": " << result.error;
+      ASSERT_EQ(result.program.words.size(), 1u) << text;
+      EXPECT_EQ(result.program.words[0], word) << text;
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/isa/assembler.h"
 #include "src/unixemu/unix_emulator.h"
 #include "tests/test_harness.h"
@@ -894,5 +895,257 @@ TEST(FastPathDifferential, FourCpusOneSpaceEach) {
 TEST(TraceExecDifferential, FourCpusOneSpaceEach) {
   ExpectIdentical(RunParallelWorkload(true, true), RunParallelWorkload(true, false));
 }
+
+// ---------------------------------------------------------------------------
+// Random programs over ckbase::Rng, using every opcode class: div/rem by zero
+// and INT32_MIN / -1, writes to r0, aligned and misaligned loads and stores,
+// backward and forward branches, jal/jalr, trap 16, stores into the own code
+// page (data slots, a self-patched instruction) and a message page, and
+// undefined opcodes. Slow, fast and traced runs must match: the oracle for
+// the trace executor's defer rule.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kRandomCodeBase = 0x10000;
+constexpr uint32_t kRandomDataBase = 0x00f00000;
+
+// Answers trap 16 like TrapAppKernel, and resumes after the faulting word of
+// a misaligned access (always placed at its own pc + 1..3) or an undefined
+// opcode instead of terminating the thread.
+class SkipFaultAppKernel : public TrapAppKernel {
+ public:
+  uint64_t skipped = 0;
+
+ protected:
+  ck::HandlerAction OnIllegalAccess(const ck::FaultForward& fault, ck::CkApi& api) override {
+    ++skipped;
+    return api.RedirectThread(fault.thread, (fault.fault.address & ~3u) + 4, 0) == CkStatus::kOk
+               ? ck::HandlerAction::kResume
+               : ck::HandlerAction::kTerminate;
+  }
+};
+
+// Register roles: gp = data page (message page after it), k4 = code-page
+// data slots, k0 = loop counter, k1 = call target, k2/k3 = self-patch word
+// and address, k5 = own pc of a misaligned access, ra = return address.
+// Random instructions write only the first kWritten of kRegs and read any.
+class ProgramGenerator {
+ public:
+  explicit ProgramGenerator(uint64_t seed) : rng_(seed) {}
+
+  std::string Generate() {
+    Line("li gp, " + std::to_string(kRandomDataBase));
+    Line("la k4, code_data");
+    for (int i = 0; i <= 5; ++i) {
+      Line("li s" + std::to_string(i) + ", " + std::to_string(rng_.Next() & 0xffffffffu));
+    }
+    Line("li s6, 0x80000000");
+    Line("li s7, -1");
+    Line("div t0, s6, s7");  // INT32_MIN / -1
+    Line("rem t1, s6, s7");
+    Line("div t2, s5, zero");
+    Line("rem t3, s5, zero");
+    // A loop free of code-page stores that ends each pass with a trap: the
+    // pc after the trap is a dispatch point every pass, so its trace is
+    // built once and then hit.
+    Loop([&] {
+      Repeat(3, 6, [&] {
+        Emit(kAlu);
+        Emit(kDataMemory);
+      });
+      Line("trap 16");
+    });
+    // Every kind once, in random order, inside a loop.
+    std::vector<Kind> kinds;
+    for (int k = 0; k < kKinds; ++k) {
+      kinds.insert(kinds.begin() + static_cast<long>(rng_.Below(kinds.size() + 1)),
+                   static_cast<Kind>(k));
+    }
+    Loop([&] {
+      for (Kind kind : kinds) {
+        Emit(kind);
+      }
+    });
+    // A loop that rewrites one of its own instructions every pass: the first
+    // pass runs "addi s5, s5, 1", later ones the patched immediate.
+    std::string patch = Fresh("patch");
+    uint32_t s5 = ckisa::kRegS0 + 5;
+    Line("li k2, " + std::to_string(ckisa::Encode(ckisa::Op::kAddi, s5, s5,
+                                                  static_cast<uint32_t>(rng_.Range(2, 100)))));
+    Line("la k3, " + patch);
+    Loop([&] {
+      Label(patch);
+      Line("addi s5, s5, 1");
+      Repeat(0, 2, [&] { Emit(kAlu); });
+      Line("sw k2, 0(k3)");
+    });
+    Repeat(4, 8, [&] {
+      auto random = [&] { Repeat(3, 8, [&] { Emit(kMix[rng_.Below(std::size(kMix))]); }); };
+      rng_.Below(2) == 0 ? Loop(random) : random();
+    });
+    Line("halt");
+    Label("sub");
+    Repeat(2, 4, [&] { Emit(kAlu); });
+    Line("ret");
+    Label("code_data");
+    Line(".space 64");
+    return source_;
+  }
+
+ private:
+  enum Kind { kAlu, kMemory, kForwardBranch, kCall, kTrap, kMisaligned, kUndefined, kKinds,
+              kDataMemory };
+  static constexpr Kind kMix[] = {kAlu,    kAlu,  kAlu,        kAlu,      kMemory,
+                                  kMemory, kCall, kTrap,       kForwardBranch,
+                                  kAlu,    kAlu,  kMisaligned, kUndefined};
+  static constexpr const char* kRegs[] = {"zero", "t0", "t1", "t2", "t3", "t4", "t5",
+                                          "t6",   "t7", "s0", "s1", "s2", "s3", "s4",
+                                          "s5",   "s6", "s7", "a0", "k0"};
+  static constexpr uint64_t kWritten = 14;
+
+  template <typename Fn>
+  void Repeat(uint64_t lo, uint64_t hi, const Fn& fn) {
+    for (uint64_t i = 0, n = rng_.Range(lo, hi); i < n; ++i) {
+      fn();
+    }
+  }
+  template <typename Fn>
+  void Loop(const Fn& body) {
+    std::string head = Fresh("loop");
+    Line("li k0, " + std::to_string(rng_.Range(3, 8)));
+    Label(head);
+    body();
+    Line("addi k0, k0, -1");
+    Line("bne k0, zero, " + head);
+  }
+  const ckisa::OpInfo& Pick(ckisa::OpClass cls) {
+    std::vector<const ckisa::OpInfo*> rows;
+    for (const ckisa::OpInfo& info : ckisa::kOps) {
+      if (info.cls == cls) {
+        rows.push_back(&info);
+      }
+    }
+    return *rows[rng_.Below(rows.size())];
+  }
+  std::string Reg(bool written) { return kRegs[rng_.Below(written ? kWritten : std::size(kRegs))]; }
+  std::string Fresh(const char* stem) { return stem + std::to_string(labels_++); }
+  void Line(const std::string& text) { source_ += "  " + text + "\n"; }
+  void Label(const std::string& name) { source_ += name + ":\n"; }
+
+  void Emit(Kind kind) {
+    static constexpr int kImmEdges[] = {0, 1, -1, 0x7fff, -0x8000};
+    switch (kind) {
+      case kAlu: {
+        const ckisa::OpInfo& op = Pick(ckisa::OpClass::kAlu);
+        int imm = rng_.Below(3) == 0 ? kImmEdges[rng_.Below(5)]
+                                     : static_cast<int>(rng_.Range(0, 0xffff)) - 0x8000;
+        std::string text = std::string(op.mnemonic) + " " + Reg(true) + ", ";
+        if (op.format == ckisa::OpFormat::kR3) {
+          Line(text + Reg(false) + ", " + Reg(false));
+        } else if (op.format == ckisa::OpFormat::kI2) {
+          Line(text + Reg(false) + ", " + std::to_string(imm));
+        } else {  // lui
+          Line(text + std::to_string(imm & 0xffff));
+        }
+        break;
+      }
+      case kMemory:
+      case kDataMemory: {
+        // An aligned access to the data page through gp, or to the message
+        // page after it, or to the data slots on the code page through k4.
+        const ckisa::OpInfo& op = Pick(rng_.Below(2) == 0 ? ckisa::OpClass::kLoad
+                                                            : ckisa::OpClass::kStore);
+        uint64_t page = kind == kMemory ? rng_.Below(3) : 0;  // data, message, code
+        uint64_t span = page == 2 ? 64 : 256;
+        bool word = op.op == ckisa::Op::kLw || op.op == ckisa::Op::kSw;
+        uint64_t off = (word ? rng_.Below(span / 4) * 4 : rng_.Below(span)) +
+                       (page == 1 ? cksim::kPageSize : 0);
+        Line(std::string(op.mnemonic) + " " + Reg(op.cls == ckisa::OpClass::kLoad) + ", " +
+             std::to_string(off) + (page == 2 ? "(k4)" : "(gp)"));
+        break;
+      }
+      case kForwardBranch: {
+        std::string skip = Fresh("fwd");
+        Line(std::string(Pick(ckisa::OpClass::kBranch).mnemonic) + " " + Reg(false) + ", " +
+             Reg(false) + ", " + skip);
+        Repeat(1, 3, [&] { Emit(rng_.Below(2) == 0 ? kAlu : kMemory); });
+        Label(skip);
+        break;
+      }
+      case kCall:
+        if (rng_.Below(2) == 0) {
+          Line("call sub");  // jal ra, sub
+        } else {
+          Line("la k1, sub");
+          Line("addi k1, k1, -8");
+          Line("jalr ra, k1, 8");
+        }
+        break;
+      case kTrap:
+        Line("trap 16");
+        break;
+      case kMisaligned: {
+        std::string self = Fresh("mis");
+        Line("jal k5, " + self);
+        Label(self);
+        bool load = rng_.Below(2) == 0;
+        Line(std::string(load ? "lw " : "sw ") + Reg(load) + ", " +
+             std::to_string(rng_.Range(1, 3)) + "(k5)");
+        break;
+      }
+      default:
+        // Opcodes past the table's last row are undefined.
+        Line(".word " + std::to_string(rng_.Range(ckisa::kOpCount, 63) << 26 |
+                                       rng_.Below(1u << 26)));
+    }
+  }
+
+  ckbase::Rng rng_;
+  std::string source_;
+  int labels_ = 0;
+};
+
+Snapshot RunRandomProgram(uint64_t seed, const TraceModeOptions& mode) {
+  std::string source = ProgramGenerator(seed).Generate();
+  WorldOptions options = Options(mode);
+  options.cpus = 1;
+  options.ck.signal_on_write = true;  // every message-page store signals
+  TestWorld world(options);
+  SkipFaultAppKernel app;
+  world.Launch(app);
+  ck::CkApi api(world.ck(), app.self(), world.machine().cpu(0));
+
+  uint32_t space = app.CreateSpace(api);
+  app.LoadProgramImage(space, MustAssemble(source.c_str(), kRandomCodeBase), /*writable=*/true);
+  app.DefineZeroRegion(space, kRandomDataBase, 1, /*writable=*/true);
+  app.DefineFrameRegion(space, kRandomDataBase + cksim::kPageSize, 1, app.frames().Allocate(),
+                        /*writable=*/true, /*message=*/true);
+  ckapp::GuestThreadParams params;
+  params.space_index = space;
+  params.entry = kRandomCodeBase;
+  uint32_t thread = app.CreateGuestThread(api, params);
+  EXPECT_TRUE(world.RunUntil([&] { return app.thread(thread).finished; }, 1000000)) << source;
+
+  EXPECT_GT(world.ck().stats().traps_forwarded, 0u);
+  EXPECT_GT(app.skipped, 0u);
+  if (mode.fastpath && mode.trace_exec) {
+    EXPECT_GT(world.ck().stats().exec_trace_builds, 0u);
+    EXPECT_GT(world.ck().stats().exec_trace_hits, 0u);
+  }
+  Snapshot s;
+  CaptureMachineState(s, world);
+  CaptureRegs(s, app.thread(thread), "t0");
+  s.Add("skipped_faults", app.skipped);
+  return s;
+}
+
+class RandomProgramDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomProgramDifferential, SlowFastAndTracedRunsMatch) {
+  Snapshot slow = RunRandomProgram(GetParam(), {false, false});
+  ExpectIdentical(RunRandomProgram(GetParam(), {true, false}), slow);
+  ExpectIdentical(RunRandomProgram(GetParam(), {true, true}), slow);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramDifferential, ::testing::Range<uint64_t>(1, 17));
 
 }  // namespace

@@ -28,51 +28,23 @@ class FlatBus : public GuestBus {
     std::memcpy(memory_.data() + program.base, program.words.data(), program.SizeBytes());
   }
 
-  MemResult Fetch(uint32_t vaddr) override { return Load32(vaddr); }
-  MemResult Load32(uint32_t vaddr) override {
-    MemResult r;
-    if (vaddr + 4 > memory_.size()) {
-      r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      return r;
+  MemResult Fetch(uint32_t vaddr) override { return Load(vaddr, 4); }
+  MemResult Load(uint32_t vaddr, uint32_t bytes) override {
+    MemResult r = Check(vaddr, bytes, cksim::Access::kRead);
+    if (r.ok && bytes == 4) {
+      std::memcpy(&r.value, memory_.data() + vaddr, 4);
+    } else if (r.ok) {
+      r.value = memory_[vaddr];
     }
-    std::memcpy(&r.value, memory_.data() + vaddr, 4);
-    r.ok = true;
     return r;
   }
-  MemResult Load8(uint32_t vaddr) override {
-    MemResult r;
-    if (vaddr >= memory_.size()) {
-      r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      return r;
+  MemResult Store(uint32_t vaddr, uint32_t value, uint32_t bytes) override {
+    MemResult r = Check(vaddr, bytes, cksim::Access::kWrite);
+    if (r.ok && bytes == 4) {
+      std::memcpy(memory_.data() + vaddr, &value, 4);
+    } else if (r.ok) {
+      memory_[vaddr] = static_cast<uint8_t>(value);
     }
-    r.value = memory_[vaddr];
-    r.ok = true;
-    return r;
-  }
-  MemResult Store32(uint32_t vaddr, uint32_t value) override {
-    MemResult r;
-    if (vaddr + 4 > memory_.size()) {
-      r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      r.fault.access = cksim::Access::kWrite;
-      return r;
-    }
-    std::memcpy(memory_.data() + vaddr, &value, 4);
-    r.ok = true;
-    return r;
-  }
-  MemResult Store8(uint32_t vaddr, uint8_t value) override {
-    MemResult r;
-    if (vaddr >= memory_.size()) {
-      r.fault.type = cksim::FaultType::kNoMapping;
-      r.fault.address = vaddr;
-      r.fault.access = cksim::Access::kWrite;
-      return r;
-    }
-    memory_[vaddr] = value;
-    r.ok = true;
     return r;
   }
   void ChargeInstruction() override { ++instructions_; }
@@ -87,6 +59,17 @@ class FlatBus : public GuestBus {
   uint64_t instructions_ = 0;
 
  private:
+  // ok, or the no-mapping fault of an access past the end of memory.
+  MemResult Check(uint32_t vaddr, uint32_t bytes, cksim::Access access) const {
+    MemResult r;
+    r.ok = uint64_t{vaddr} + bytes <= memory_.size();
+    if (!r.ok) {
+      r.fault.type = cksim::FaultType::kNoMapping;
+      r.fault.address = vaddr;
+      r.fault.access = access;
+    }
+    return r;
+  }
   std::vector<uint8_t> memory_;
 };
 
@@ -125,10 +108,17 @@ TEST(AssemblerTest, ErrorsAreReported) {
 TEST(AssemblerTest, DisassembleMatchesMnemonic) {
   AssembleResult result = Assemble("add r1, r2, r3", 0);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(ckisa::Disassemble(result.program.words[0]), "add r1, r2, r3");
+  EXPECT_EQ(ckisa::Disassemble(result.program.words[0], 0), "add r1, r2, r3");
   result = Assemble("lw r4, 8(r2)", 0);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(ckisa::Disassemble(result.program.words[0]), "lw r4, 8(r2)");
+  EXPECT_EQ(ckisa::Disassemble(result.program.words[0], 0), "lw r4, 8(r2)");
+  // Branch and jump targets print as absolute addresses, as Assemble reads them.
+  result = Assemble("beq r7, r9, 0x1018", 0x1000);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(ckisa::Disassemble(result.program.words[0], 0x1000), "beq r7, r9, 0x1018");
+  result = Assemble("jal r1, 0xff0", 0x1000);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(ckisa::Disassemble(result.program.words[0], 0x1000), "jal r1, 0xff0");
 }
 
 TEST(InterpreterTest, Arithmetic) {

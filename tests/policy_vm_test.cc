@@ -10,7 +10,9 @@
 //   * confinement: a guest policy only ever scores its own kernel's
 //     descriptors, so a malicious scorer cannot evict a neighbor's objects;
 //   * the perceptron's ghost-cache training loop and metrics;
-//   * checkpoint round-trips carrying programs + weights bit-exactly.
+//   * checkpoint round-trips carrying programs + weights bit-exactly;
+//   * fuzzing: random word programs for fixed seeds stay within the budget
+//     and score only through halt.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "src/appkernel/app_kernel_base.h"
+#include "src/base/rng.h"
 #include "src/ck/cache_kernel.h"
 #include "src/ck/policy.h"
 #include "src/ckpt/checkpoint.h"
@@ -141,6 +144,84 @@ TEST(PolicySandboxTest, EmptyProgramFaults) {
                 .event,
             PolicyVmEvent::kFault);
 }
+
+// ---------------------------------------------------------------------------
+// Sandbox fuzzing: random word programs for fixed seeds.
+// ---------------------------------------------------------------------------
+
+// A table opcode with random fields; one word in eight is fully random
+// (mostly undefined opcodes).
+uint32_t RandomWord(ckbase::Rng& rng) {
+  if (rng.Below(8) == 0) {
+    return static_cast<uint32_t>(rng.Next());
+  }
+  return static_cast<uint32_t>(rng.Below(ckisa::kOpCount) << 26 | rng.Below(1u << 26));
+}
+
+// An ALU word: it retires without ending the run or leaving straight-line order.
+uint32_t RandomAluWord(ckbase::Rng& rng) {
+  uint32_t word;
+  do {
+    word = RandomWord(rng);
+  } while (ckisa::ClassOf(ckisa::Decode(word).op) != ckisa::OpClass::kAlu);
+  return word;
+}
+
+class PolicyVmFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PolicyVmFuzzTest, RandomProgramsStayWithinBudgetAndScoreOnlyByHalt) {
+  ckbase::Rng rng(GetParam());
+  for (int i = 0; i < 500; ++i) {
+    std::vector<uint32_t> words(rng.Range(1, 64));
+    for (uint32_t& word : words) {
+      word = RandomWord(rng);
+    }
+    uint32_t budget = static_cast<uint32_t>(rng.Range(1, 256));
+    PolicyVmResult result = RunOnce(words, VictimFeatures{}, budget);
+    EXPECT_LE(result.steps, budget);
+    if (result.event == PolicyVmEvent::kBudget) {
+      EXPECT_EQ(result.steps, budget);
+    }
+    // With every halt rewritten to nop, no run can produce a score.
+    for (uint32_t& word : words) {
+      if (ckisa::Decode(word).op == ckisa::Op::kHalt) {
+        word = ckisa::Encode(ckisa::Op::kNop, 0, 0, 0);
+      }
+    }
+    EXPECT_NE(RunOnce(words, VictimFeatures{}, budget).event, PolicyVmEvent::kScore);
+  }
+}
+
+TEST_P(PolicyVmFuzzTest, StoreOrTrapEndsTheRunWithoutAScore) {
+  // k random ALU steps, then a store, trap or halt, then random words
+  // (halts included) that must never run.
+  ckbase::Rng rng(GetParam());
+  for (int i = 0; i < 500; ++i) {
+    std::vector<uint32_t> words;
+    const uint32_t k = static_cast<uint32_t>(rng.Below(16));
+    for (uint32_t j = 0; j < k; ++j) {
+      words.push_back(RandomAluWord(rng));
+    }
+    words.push_back(0);
+    for (int j = 0; j < 8; ++j) {
+      words.push_back(rng.Below(2) == 0 ? ckisa::Encode(ckisa::Op::kHalt, 0, 0, 0)
+                                        : RandomWord(rng));
+    }
+    uint32_t fields = static_cast<uint32_t>(rng.Below(1u << 26));
+    const std::pair<ckisa::Op, PolicyVmEvent> kEnds[] = {{ckisa::Op::kSw, PolicyVmEvent::kFault},
+                                                         {ckisa::Op::kSb, PolicyVmEvent::kFault},
+                                                         {ckisa::Op::kTrap, PolicyVmEvent::kTrap},
+                                                         {ckisa::Op::kHalt, PolicyVmEvent::kScore}};
+    for (const auto& [op, event] : kEnds) {
+      words[k] = static_cast<uint32_t>(op) << 26 | fields;
+      PolicyVmResult result = RunOnce(words, VictimFeatures{}, 1024);
+      EXPECT_EQ(result.event, event) << "op " << static_cast<int>(op);
+      EXPECT_EQ(result.steps, k + 1);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PolicyVmFuzzTest, ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---------------------------------------------------------------------------
 // Kernel level

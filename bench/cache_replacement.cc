@@ -1,11 +1,20 @@
 // Working-set sweep over the mapping cache's replacement policies.
 //
-// The descriptor caches default to the paper's clock scan; the ObjectCache
-// layer (src/ck/object_cache.h) also offers FIFO and second-chance. This
-// bench drives the policy that actually has a hardware referenced bit -- the
-// mapping cache -- with the canonical workload that separates them: a small
-// hot set re-accessed every round plus a cold stream cycling through a
-// larger working set, against a fixed mapping-cache capacity.
+// The Cache Kernel's one built-in victim policy is the paper's clock scan
+// (src/ck/object_cache.h); every other policy is the application kernel's
+// own choice, made in the PolicyTable it owns. This bench drives the cache
+// that actually has a hardware referenced bit -- the mapping cache -- with
+// the canonical workload that separates policies: a small hot set
+// re-accessed every round plus a cold stream cycling through a larger
+// working set, against a fixed mapping-cache capacity. Rows:
+//
+//   clock        no policy installed: the built-in clock scan.
+//   fifo         a CKVM policy program LoadPolicy'd into the sink kernel
+//                that scores by load_seq_low -- FIFO implemented by a
+//                sandboxed guest (the scored scan takes the minimum with
+//                first-wins ties, i.e. the oldest load).
+//   perceptron   the ghost-cache-trained learned policy, enabled by the sink
+//                kernel in its own PolicyTable.
 //
 //   hot_miss_pct        % of hot-page accesses that found the mapping evicted
 //   writebacks_per_1k   Figure-6 writebacks per 1000 accesses (hot + cold)
@@ -19,20 +28,13 @@
 // every policy is equivalent (no reclamation at all) -- policy only matters
 // past the capacity cliff, which is the working-set model's claim.
 //
-// On top of the built-in scans, the bench drives the PolicyEngine rows:
-//
-//   perceptron   the ghost-cache-trained learned policy (kPerceptron knob).
-//                Gate: beats FIFO on the zipf trace, where its harvested
-//                referenced bits and eviction feedback actually pay off.
-//   guest_fifo   a CKVM policy program LoadPolicy'd into the sink kernel that
-//                scores by load_seq_low -- FIFO implemented by a sandboxed
-//                guest. Differential self-check: its victims are bit-exact
-//                with the built-in FIFO row, so misses/writebacks must match.
-//
-// `cache_replacement --self-check` replays the adversarial traces and
-// enforces those gates programmatically (plus the conservation identity and
-// zero sandbox faults), exiting nonzero on any failure; scripts/verify.sh
-// runs it under the sanitizers.
+// `cache_replacement --self-check` replays the adversarial traces and the
+// working-set points and enforces the gates programmatically, exiting
+// nonzero on any failure; scripts/verify.sh runs it under the sanitizers.
+// The gates: FIFO's miss and writeback counts are pinned (an oracle for the
+// guest program), the perceptron beats FIFO on zipf and clock on the
+// loop-over-capacity trace, the sandbox runs clean, and the conservation
+// identity holds.
 //
 // Each round begins by flushing the space's TLB entries, the same
 // referenced-bit harvesting a real kernel performs: translations must go
@@ -70,7 +72,7 @@ constexpr uint32_t kFrameBase = 0x100000 / cksim::kPageSize;  // backing frames
 // Writeback sink: the bench never faults (residency is checked before every
 // access) and mappings carry no thread state, so the handlers are empty. It
 // carries a PolicyTable so the perceptron and guest-program rows have
-// somewhere to live -- without one both would fall back to clock.
+// somewhere to live.
 class SinkKernel : public ck::AppKernel {
  public:
   ck::HandlerAction HandleFault(const ck::FaultForward&, CkApi&) override {
@@ -86,16 +88,13 @@ class SinkKernel : public ck::AppKernel {
   ck::PolicyTable table_;
 };
 
-// One bench row's policy configuration: the knob, plus optionally a guest
-// CKVM program that overrides it for the sink kernel's own descriptors.
-struct PolicySetup {
-  ck::ReplacementPolicy knob = ck::ReplacementPolicy::kClock;
-  bool guest_fifo = false;  // LoadPolicy a score-by-load_seq program
-};
+// One bench row's policy: the sink kernel's choice for its own mapping
+// descriptors.
+enum class Policy { kClock, kFifo, kPerceptron };
 
 // FIFO as a guest policy program: score each candidate by feature word 4
 // (load_seq_low); the scored scan takes the minimum with first-wins ties,
-// which is exactly the built-in FIFO's eviction order.
+// which is the oldest load.
 std::vector<uint32_t> GuestFifoProgram() {
   char source[128];
   std::snprintf(source, sizeof(source),
@@ -105,10 +104,25 @@ std::vector<uint32_t> GuestFifoProgram() {
                 ck::kPolicyFeatureBase, 4u * static_cast<uint32_t>(sizeof(uint32_t)));
   ckisa::AssembleResult assembled = ckisa::Assemble(source, ck::kPolicyCodeBase);
   if (!assembled.ok) {
-    std::fprintf(stderr, "guest_fifo assembly failed: %s\n", assembled.error.c_str());
+    std::fprintf(stderr, "fifo assembly failed: %s\n", assembled.error.c_str());
     std::exit(1);
   }
   return assembled.program.words;
+}
+
+// Install `policy` in the sink kernel's PolicyTable for its mappings.
+void InstallPolicy(Policy policy, SinkKernel& sink, CkApi& api) {
+  if (policy == Policy::kFifo) {
+    std::vector<uint32_t> words = GuestFifoProgram();
+    if (api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
+                       static_cast<uint32_t>(words.size())) != CkStatus::kOk) {
+      std::fprintf(stderr, "LoadPolicy failed\n");
+      std::exit(1);
+    }
+  } else if (policy == Policy::kPerceptron) {
+    sink.policy_table()->perceptron[static_cast<uint32_t>(ck::ObjectType::kMapping)].enabled =
+        true;
+  }
 }
 
 struct Totals {
@@ -142,27 +156,33 @@ void FinishTotals(Totals* totals, CacheKernel& ck) {
       ck.stats().explicit_unloads[t] + ck.stats().writebacks[t] + ck.loaded_count(ck::ObjectType::kMapping);
 }
 
+double HotMissPct(const Totals& totals) {
+  return 100.0 * static_cast<double>(totals.hot_misses) / static_cast<double>(totals.hot_accesses);
+}
+
+double WritebacksPer1k(const Totals& totals) {
+  return 1000.0 * static_cast<double>(totals.writebacks) / static_cast<double>(totals.accesses);
+}
+
+double ScanPerReclaim(const Totals& totals) {
+  return totals.reclamations == 0 ? 0.0
+                                  : static_cast<double>(totals.scan_steps) /
+                                        static_cast<double>(totals.reclamations);
+}
+
 // One full run: fixed capacity, `working_set` distinct pages, kRounds rounds
-// of (hot sweep + cold stream segment) under `setup`.
-Totals Run(PolicySetup setup, uint32_t working_set) {
+// of (hot sweep + cold stream segment) under `policy`.
+Totals Run(Policy policy, uint32_t working_set) {
   cksim::MachineConfig mc;
   mc.memory_bytes = 8u << 20;
   cksim::Machine machine(mc);
   ck::CacheKernelConfig config;
   config.mapping_slots = kMappingSlots;
-  config.replacement[static_cast<uint32_t>(ck::ObjectType::kMapping)] = setup.knob;
   CacheKernel ck(machine, config);
   SinkKernel sink;
   ck::KernelId kid = ck.BootFirstKernel(&sink, 0);
   CkApi api(ck, kid, machine.cpu(0));
-  if (setup.guest_fifo) {
-    std::vector<uint32_t> words = GuestFifoProgram();
-    if (api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
-                       static_cast<uint32_t>(words.size())) != CkStatus::kOk) {
-      std::fprintf(stderr, "LoadPolicy failed\n");
-      std::exit(1);
-    }
-  }
+  InstallPolicy(policy, sink, api);
   ck::SpaceId space = api.LoadSpace(0, false).value();
   ck::ThreadSpec tspec;
   tspec.space = space;
@@ -211,22 +231,17 @@ Totals Run(PolicySetup setup, uint32_t working_set) {
   return totals;
 }
 
-void BM_WorkingSet(benchmark::State& state, PolicySetup setup) {
+void BM_WorkingSet(benchmark::State& state, Policy policy) {
   uint32_t working_set = static_cast<uint32_t>(state.range(0));
   Totals totals;
   for (auto _ : state) {
-    totals = Run(setup, working_set);
+    totals = Run(policy, working_set);
   }
   state.counters["working_set"] = static_cast<double>(working_set);
   state.counters["capacity"] = static_cast<double>(kMappingSlots);
-  state.counters["hot_miss_pct"] =
-      100.0 * static_cast<double>(totals.hot_misses) / static_cast<double>(totals.hot_accesses);
-  state.counters["writebacks_per_1k"] =
-      1000.0 * static_cast<double>(totals.writebacks) / static_cast<double>(totals.accesses);
-  state.counters["scan_per_reclaim"] =
-      totals.reclamations == 0 ? 0.0
-                               : static_cast<double>(totals.scan_steps) /
-                                     static_cast<double>(totals.reclamations);
+  state.counters["hot_miss_pct"] = HotMissPct(totals);
+  state.counters["writebacks_per_1k"] = WritebacksPer1k(totals);
+  state.counters["scan_per_reclaim"] = ScanPerReclaim(totals);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,28 +329,20 @@ std::vector<uint32_t> BuildTrace(TraceKind kind, uint32_t* distinct_pages) {
   return trace;
 }
 
-// Replay one trace under `setup`. Every access is counted (there is no
+// Replay one trace under `policy`. Every access is counted (there is no
 // hot/cold split); the TLB is flushed every kMappingSlots accesses so the
 // clock hand keeps seeing fresh referenced bits, as in BM_WorkingSet.
-Totals RunAdversarial(PolicySetup setup, TraceKind kind) {
+Totals RunAdversarial(Policy policy, TraceKind kind) {
   cksim::MachineConfig mc;
   mc.memory_bytes = 32u << 20;
   cksim::Machine machine(mc);
   ck::CacheKernelConfig config;
   config.mapping_slots = kMappingSlots;
-  config.replacement[static_cast<uint32_t>(ck::ObjectType::kMapping)] = setup.knob;
   CacheKernel ck(machine, config);
   SinkKernel sink;
   ck::KernelId kid = ck.BootFirstKernel(&sink, 0);
   CkApi api(ck, kid, machine.cpu(0));
-  if (setup.guest_fifo) {
-    std::vector<uint32_t> words = GuestFifoProgram();
-    if (api.LoadPolicy(ck::ObjectType::kMapping, words.data(),
-                       static_cast<uint32_t>(words.size())) != CkStatus::kOk) {
-      std::fprintf(stderr, "LoadPolicy failed\n");
-      std::exit(1);
-    }
-  }
+  InstallPolicy(policy, sink, api);
   ck::SpaceId space = api.LoadSpace(0, false).value();
   ck::ThreadSpec tspec;
   tspec.space = space;
@@ -372,76 +379,55 @@ Totals RunAdversarial(PolicySetup setup, TraceKind kind) {
   return totals;
 }
 
-void BM_AdversarialTrace(benchmark::State& state, PolicySetup setup, TraceKind kind) {
+void BM_AdversarialTrace(benchmark::State& state, Policy policy, TraceKind kind) {
   Totals totals;
   for (auto _ : state) {
-    totals = RunAdversarial(setup, kind);
+    totals = RunAdversarial(policy, kind);
   }
   state.SetLabel(TraceName(kind));
   state.counters["capacity"] = static_cast<double>(kMappingSlots);
-  state.counters["miss_pct"] =
-      100.0 * static_cast<double>(totals.hot_misses) / static_cast<double>(totals.hot_accesses);
-  state.counters["writebacks_per_1k"] =
-      1000.0 * static_cast<double>(totals.writebacks) / static_cast<double>(totals.accesses);
-  state.counters["scan_per_reclaim"] =
-      totals.reclamations == 0 ? 0.0
-                               : static_cast<double>(totals.scan_steps) /
-                                     static_cast<double>(totals.reclamations);
+  state.counters["miss_pct"] = HotMissPct(totals);
+  state.counters["writebacks_per_1k"] = WritebacksPer1k(totals);
+  state.counters["scan_per_reclaim"] = ScanPerReclaim(totals);
   state.counters["policy_vm_runs"] = static_cast<double>(totals.vm_runs);
   state.counters["policy_fallbacks"] = static_cast<double>(totals.fallbacks);
   state.counters["policy_ghost_hits"] = static_cast<double>(totals.ghost_hits);
 }
 
-constexpr PolicySetup kClockSetup{ck::ReplacementPolicy::kClock, false};
-constexpr PolicySetup kFifoSetup{ck::ReplacementPolicy::kFifo, false};
-constexpr PolicySetup kSecondChanceSetup{ck::ReplacementPolicy::kSecondChance, false};
-constexpr PolicySetup kPerceptronSetup{ck::ReplacementPolicy::kPerceptron, false};
-// The guest program overrides the knob, so the knob value is irrelevant; the
-// clock default makes the fallback path (were it ever taken) well defined.
-constexpr PolicySetup kGuestFifoSetup{ck::ReplacementPolicy::kClock, true};
-
-#define CK_ADVERSARIAL(policy_name, setup)                                            \
-  BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_seq_scan, setup,               \
-                    TraceKind::kSeqScan)                                              \
-      ->Iterations(1)                                                                 \
-      ->Unit(benchmark::kMillisecond);                                                \
-  BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_loop_over_cap, setup,          \
-                    TraceKind::kLoopOverCapacity)                                     \
-      ->Iterations(1)                                                                 \
-      ->Unit(benchmark::kMillisecond);                                                \
-  BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_zipf, setup, TraceKind::kZipf) \
-      ->Iterations(1)                                                                 \
+#define CK_ADVERSARIAL(policy_name, policy)                                            \
+  BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_seq_scan, policy,               \
+                    TraceKind::kSeqScan)                                               \
+      ->Iterations(1)                                                                  \
+      ->Unit(benchmark::kMillisecond);                                                 \
+  BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_loop_over_cap, policy,          \
+                    TraceKind::kLoopOverCapacity)                                      \
+      ->Iterations(1)                                                                  \
+      ->Unit(benchmark::kMillisecond);                                                 \
+  BENCHMARK_CAPTURE(BM_AdversarialTrace, policy_name##_zipf, policy, TraceKind::kZipf) \
+      ->Iterations(1)                                                                  \
       ->Unit(benchmark::kMillisecond)
 
-CK_ADVERSARIAL(clock, kClockSetup);
-CK_ADVERSARIAL(fifo, kFifoSetup);
-CK_ADVERSARIAL(second_chance, kSecondChanceSetup);
-CK_ADVERSARIAL(perceptron, kPerceptronSetup);
-CK_ADVERSARIAL(guest_fifo, kGuestFifoSetup);
+CK_ADVERSARIAL(clock, Policy::kClock);
+CK_ADVERSARIAL(fifo, Policy::kFifo);
+CK_ADVERSARIAL(perceptron, Policy::kPerceptron);
 
 #undef CK_ADVERSARIAL
 
 // Working sets: comfortably under capacity (48 < 64: no reclamation at all),
 // just over (96), and 3x over (192). The hot set is 16 pages throughout.
-BENCHMARK_CAPTURE(BM_WorkingSet, clock, kClockSetup)
+BENCHMARK_CAPTURE(BM_WorkingSet, clock, Policy::kClock)
     ->Arg(48)
     ->Arg(96)
     ->Arg(192)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WorkingSet, fifo, kFifoSetup)
+BENCHMARK_CAPTURE(BM_WorkingSet, fifo, Policy::kFifo)
     ->Arg(48)
     ->Arg(96)
     ->Arg(192)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WorkingSet, second_chance, kSecondChanceSetup)
-    ->Arg(48)
-    ->Arg(96)
-    ->Arg(192)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_WorkingSet, perceptron, kPerceptronSetup)
+BENCHMARK_CAPTURE(BM_WorkingSet, perceptron, Policy::kPerceptron)
     ->Arg(48)
     ->Arg(96)
     ->Arg(192)
@@ -449,10 +435,22 @@ BENCHMARK_CAPTURE(BM_WorkingSet, perceptron, kPerceptronSetup)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --self-check: replay the adversarial traces and enforce the PolicyEngine
-// gates programmatically. This is what scripts/verify.sh runs under TSan and
-// ASan -- the bench numbers are recorded separately by scripts/bench.sh.
+// --self-check: replay the adversarial traces and the over-capacity working
+// sets and enforce the policy gates programmatically. This is what
+// scripts/verify.sh runs under TSan and ASan -- the bench numbers are
+// recorded separately by scripts/bench.sh.
 // ---------------------------------------------------------------------------
+
+// FIFO's misses and writebacks per trace, pinned from the Cache Kernel's
+// former built-in FIFO scan: the guest program must reproduce them exactly.
+struct FifoOracle {
+  TraceKind kind;
+  uint64_t misses;
+  uint64_t writebacks;
+};
+constexpr FifoOracle kFifoOracle[] = {{TraceKind::kSeqScan, 4096, 4032},
+                                      {TraceKind::kLoopOverCapacity, 6912, 6848},
+                                      {TraceKind::kZipf, 3149, 3085}};
 
 int SelfCheck() {
   int failures = 0;
@@ -463,38 +461,33 @@ int SelfCheck() {
     }
   };
 
-  const TraceKind kTraces[] = {TraceKind::kSeqScan, TraceKind::kLoopOverCapacity,
-                               TraceKind::kZipf};
-  for (TraceKind kind : kTraces) {
-    Totals clock = RunAdversarial(kClockSetup, kind);
-    Totals fifo = RunAdversarial(kFifoSetup, kind);
-    Totals perceptron = RunAdversarial(kPerceptronSetup, kind);
-    Totals guest = RunAdversarial(kGuestFifoSetup, kind);
+  for (const FifoOracle& oracle : kFifoOracle) {
+    TraceKind kind = oracle.kind;
+    Totals clock = RunAdversarial(Policy::kClock, kind);
+    Totals fifo = RunAdversarial(Policy::kFifo, kind);
+    Totals perceptron = RunAdversarial(Policy::kPerceptron, kind);
     const char* name = TraceName(kind);
     char what[160];
 
     std::snprintf(what, sizeof(what), "%s: conservation identity holds for every policy", name);
-    gate(clock.conservation_ok && fifo.conservation_ok && perceptron.conservation_ok &&
-             guest.conservation_ok,
-         what);
+    gate(clock.conservation_ok && fifo.conservation_ok && perceptron.conservation_ok, what);
 
-    // The guest FIFO program must be victim-for-victim identical to the
-    // built-in FIFO scan: same misses, same writebacks.
-    std::snprintf(what, sizeof(what),
-                  "%s: guest_fifo == fifo (misses %llu/%llu, writebacks %llu/%llu)", name,
-                  static_cast<unsigned long long>(guest.hot_misses),
-                  static_cast<unsigned long long>(fifo.hot_misses),
-                  static_cast<unsigned long long>(guest.writebacks),
-                  static_cast<unsigned long long>(fifo.writebacks));
-    gate(guest.hot_misses == fifo.hot_misses && guest.writebacks == fifo.writebacks, what);
+    // The guest FIFO program must be victim-for-victim identical to FIFO:
+    // the pinned misses and writebacks.
+    std::snprintf(what, sizeof(what), "%s: fifo misses %llu == %llu, writebacks %llu == %llu",
+                  name, static_cast<unsigned long long>(fifo.hot_misses),
+                  static_cast<unsigned long long>(oracle.misses),
+                  static_cast<unsigned long long>(fifo.writebacks),
+                  static_cast<unsigned long long>(oracle.writebacks));
+    gate(fifo.hot_misses == oracle.misses && fifo.writebacks == oracle.writebacks, what);
 
     std::snprintf(what, sizeof(what),
                   "%s: guest sandbox ran clean (vm_runs=%llu faults=%llu fallbacks=%llu)", name,
-                  static_cast<unsigned long long>(guest.vm_runs),
-                  static_cast<unsigned long long>(guest.vm_faults),
-                  static_cast<unsigned long long>(guest.fallbacks));
-    gate((guest.reclamations == 0 || guest.vm_runs > 0) && guest.vm_faults == 0 &&
-             guest.fallbacks == 0,
+                  static_cast<unsigned long long>(fifo.vm_runs),
+                  static_cast<unsigned long long>(fifo.vm_faults),
+                  static_cast<unsigned long long>(fifo.fallbacks));
+    gate((fifo.reclamations == 0 || fifo.vm_runs > 0) && fifo.vm_faults == 0 &&
+             fifo.fallbacks == 0,
          what);
 
     std::snprintf(what, sizeof(what), "%s: perceptron trained without falling back (trains=%llu)",
@@ -510,6 +503,26 @@ int SelfCheck() {
                     static_cast<unsigned long long>(fifo.hot_misses));
       gate(perceptron.hot_misses < fifo.hot_misses, what);
     }
+    if (kind == TraceKind::kLoopOverCapacity) {
+      // Clock's adversary: the ghost cache learns the loop, the hand cannot.
+      std::snprintf(what, sizeof(what),
+                    "loop_over_cap: perceptron beats clock (misses %llu < %llu)",
+                    static_cast<unsigned long long>(perceptron.hot_misses),
+                    static_cast<unsigned long long>(clock.hot_misses));
+      gate(perceptron.hot_misses < clock.hot_misses, what);
+    }
+  }
+
+  // Past capacity FIFO displaces the hot set every cycle: half the hot
+  // accesses miss at both over-capacity points.
+  for (uint32_t working_set : {96u, 192u}) {
+    Totals fifo = Run(Policy::kFifo, working_set);
+    char what[160];
+    std::snprintf(what, sizeof(what),
+                  "working set %u: fifo hot_miss_pct %.3f == 50, writebacks_per_1k %.3f == "
+                  "828.125",
+                  working_set, HotMissPct(fifo), WritebacksPer1k(fifo));
+    gate(HotMissPct(fifo) == 50.0 && WritebacksPer1k(fifo) == 828.125, what);
   }
 
   std::printf("%s: %d gate(s) failed\n", failures == 0 ? "SELF-CHECK PASS" : "SELF-CHECK FAIL",

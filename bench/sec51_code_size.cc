@@ -9,15 +9,17 @@
 //
 // We count the equivalent partitions of this repository (supervisor code vs.
 // hardware substrate vs. user-level libraries) at run time by reading the
-// source tree, and print them against the paper's numbers.
+// source tree the binary was built from (CK_SOURCE_DIR, set by CMake), and
+// print them against the paper's numbers. Exits 1 if any partition counts
+// zero lines (the tree was not found) or if the supervisor (src/ck +
+// src/base) is not smaller than the smallest monolithic VM system.
 
 #include <cstdio>
-
-#include "src/ck/observability.h"
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <vector>
+
+#include "bench/bench_util.h"
 
 namespace {
 
@@ -50,23 +52,14 @@ uint64_t CountDir(const fs::path& dir) {
   return total;
 }
 
-fs::path FindRepoRoot() {
-  // Walk up from the executable's directory until we find src/ck.
-  fs::path p = fs::current_path();
-  for (int depth = 0; depth < 6; ++depth) {
-    if (fs::exists(p / "src" / "ck")) {
-      return p;
-    }
-    p = p.parent_path();
-  }
-  return fs::current_path();
-}
+// The smallest virtual memory system in the paper's comparison (V kernel).
+constexpr uint64_t kSmallestMonolithicVm = 13087;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   ck::ObsSession obs(argc, argv);  // accepts --trace/--metrics; nothing to observe here
-  fs::path root = FindRepoRoot();
+  const fs::path root = CK_SOURCE_DIR;
   uint64_t ck_lines = CountDir(root / "src" / "ck");
   uint64_t base_lines = CountDir(root / "src" / "base");
   uint64_t sim_lines = CountDir(root / "src" / "sim");
@@ -82,7 +75,8 @@ int main(int argc, char** argv) {
   std::printf("paper's comparison of VIRTUAL MEMORY system code:\n");
   std::printf("  %-36s %8s\n", "system", "lines");
   std::printf("  %-36s %8d\n", "Cache Kernel VM code", 1500);
-  std::printf("  %-36s %8d\n", "V kernel VM (same hardware)", 13087);
+  std::printf("  %-36s %8llu\n", "V kernel VM (same hardware)",
+              static_cast<unsigned long long>(kSmallestMonolithicVm));
   std::printf("  %-36s %8d\n", "Ultrix 4.1 (MIPS) VM", 23400);
   std::printf("  %-36s %8d\n", "SunOS 4.1.2 (Sparc) VM", 14400);
   std::printf("  %-36s %8d\n", "Mach (MIPS) VM", 20000);
@@ -116,6 +110,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(user_level));
   std::printf("  caching model. The paper's supervisor was ~9k lines net of PROM support;\n");
   std::printf("  ours stays well inside the monolithic-VM-system line counts above.\n");
+
+  ckbench::ShapeGate gate;
+  gate.Check("every counted partition is nonempty (source tree found)",
+             ck_lines != 0 && base_lines != 0 && sim_lines != 0 && isa_lines != 0 &&
+                 appkernel_lines != 0 && srm_lines != 0 && emulators != 0 && prom_lines != 0);
+  gate.Check("supervisor (src/ck + src/base) is below the smallest monolithic VM count",
+             supervisor < kSmallestMonolithicVm);
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

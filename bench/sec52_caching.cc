@@ -7,6 +7,9 @@
 // worse still. We sweep a guest's active working set across a fixed mapping
 // cache and report hit rate, writebacks per access, and where the cost goes.
 
+#include <string>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "src/isa/assembler.h"
 
@@ -95,14 +98,38 @@ int main(int argc, char** argv) {
   std::printf("%12s %10s %14s %16s %14s\n", "working set", "faults", "reclamations",
               "faults/access", "us/access");
   ckbench::Rule();
-  for (uint32_t pages : {16u, 32u, 64u, 96u, 120u, 160u, 256u, 512u}) {
+  constexpr uint32_t kLargestFit = 120;  // largest swept working set under capacity
+  std::vector<Point> points;
+  double fit_us = 0.0;  // the sweep reaches kLargestFit before any point past it
+  for (uint32_t pages : {16u, 32u, 64u, 96u, kLargestFit, 160u, 256u, 512u}) {
     Point point = RunWorkingSet(pages, kMappingSlots);
     std::printf("%12u %10llu %14llu %16.3f %14.2f\n", point.working_set,
                 static_cast<unsigned long long>(point.faults),
                 static_cast<unsigned long long>(point.reclamations), point.faults_per_access,
                 point.us_per_access);
+    points.push_back(point);
+    if (pages == kLargestFit) {
+      fit_us = point.us_per_access;
+    }
   }
   ckbench::Rule();
+
+  ckbench::ShapeGate gate;
+  for (const Point& point : points) {
+    std::string at = " at working set " + std::to_string(point.working_set);
+    if (point.working_set <= kLargestFit) {
+      // One cold fault per data page plus one for the code page.
+      gate.Check(("no reclamation under capacity" + at).c_str(), point.reclamations == 0);
+      gate.Check(("one cold fault per page under capacity" + at).c_str(),
+                 point.faults == point.working_set + 1);
+    } else {
+      gate.Check(("reclamation past capacity" + at).c_str(), point.reclamations > 0);
+      gate.Check(("every access re-faults past capacity" + at).c_str(),
+                 point.faults_per_access >= 1.0);
+      gate.Check(("us/access at least 3x the under-capacity cost" + at).c_str(),
+                 point.us_per_access >= 3.0 * fit_us);
+    }
+  }
   ckbench::Note("shape checks: working sets under the descriptor capacity fault once per page");
   ckbench::Note("(cold) and never again; past capacity, every access round re-faults (the");
   ckbench::Note("mapping cache thrashes) and cost per access jumps by the fault-path cost --");
@@ -110,5 +137,5 @@ int main(int argc, char** argv) {
   ckbench::Note("which is the paper's argument that the Cache Kernel is not the limiting");
   ckbench::Note("factor for badly-structured programs (section 5.2).");
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

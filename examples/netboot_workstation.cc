@@ -46,10 +46,11 @@ int main(int argc, char** argv) {
   config.scan_rounds = rounds;
 
   ckfs::FsCluster world(config);
-  // Client 0 first: the metrics registry binds to the first attach, and the
-  // interesting counters (ck.fs.*) live client-side.
+  // Client 0 first: the metrics registry binds to the first attach. The
+  // file-service counters (fs.*) are client 0's cache library state.
   obs.Attach(world.client_machine(0), &world.client_ck(0));
   obs.Attach(world.server_machine(), &world.server_ck());
+  world.cache(0).RegisterMetrics(obs.registry());
 
   std::printf("netboot: %u diskless clients booting from 1 file server (%s cluster driver)\n",
               config.clients, config.parallel ? "parallel" : "serial");

@@ -655,6 +655,7 @@ void AppKernelBase::OnSpaceWriteback(const ck::SpaceWriteback& record, CkApi& ap
 // words and the perceptrons' weights, ghost caches and counters, field by
 // field, so a restored or migrated kernel resumes with a bit-identical
 // PolicyTable (PolicyTable::Digest compares equal across the round trip).
+// Perceptron::enabled is not captured: it is the kernel's own configuration.
 // Subclasses that add their own extra state must chain these base versions
 // first, in the same order on both sides.
 void AppKernelBase::CaptureExtra(ckckpt::Writer& w, CkApi& api) {

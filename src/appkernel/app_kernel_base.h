@@ -138,8 +138,8 @@ class AppKernelBase : public ck::AppKernel {
   void OnThreadHalt(ck::ThreadId thread, uint64_t cookie, ck::CkApi& api) override;
 
   // Replacement-policy state (src/ck/policy.h): every library-based kernel
-  // keeps a PolicyTable, so the Cache Kernel's perceptron policy and the
-  // LoadPolicy operation work out of the box. CaptureExtra/RestoreExtra
+  // keeps a PolicyTable, so enabling its perceptron and the LoadPolicy
+  // operation work out of the box. CaptureExtra/RestoreExtra
   // carry it through checkpoint and migration with a bit-exact digest.
   ck::PolicyTable* policy_table() override { return &policy_table_; }
   // Assemble + install a guest victim-scoring program for `type` (see

@@ -117,8 +117,7 @@ class AppKernel {
   // Per-kernel replacement-policy state (src/ck/policy.h): the loaded guest
   // policy programs and perceptrons the Cache Kernel consults when reclaiming
   // this kernel's descriptors. nullptr (the default) means the kernel
-  // delegates policy entirely to the knob defaults -- LoadPolicy fails and
-  // kPerceptron falls back to clock for its descriptors.
+  // leaves its descriptors to the clock scan and LoadPolicy fails.
   virtual PolicyTable* policy_table() { return nullptr; }
 };
 

@@ -43,14 +43,8 @@ CacheKernel::CacheKernel(cksim::Machine& machine, const CacheKernelConfig& confi
   knobs_.fastpath = config.fastpath;
   knobs_.trace_exec = config.trace_exec;
   knobs_.profile_period = config.profile_period;
-  for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
-    knobs_.replacement[t] = config.replacement[t];
-  }
   knobs_.tier_dram_frames = config.tier_dram_frames;
   knobs_.tier_demote = config.tier_demote;
-  knobs_.tier_promote_period = config.tier_promote_period;
-  knobs_.tier_scan_frames = config.tier_scan_frames;
-  knobs_.policy_step_budget = config.policy_step_budget;
   tier_ref_.assign(machine.memory().page_count(), 0);
   tenant_.resize(config.kernel_slots);
   profile_pcs_.resize(config.kernel_slots);
@@ -1066,7 +1060,7 @@ VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType typ
   uint64_t age = cache.load_clock() - cache.load_seq(slot);
   f.age = age > 0xffffffffull ? 0xffffffffu : static_cast<uint32_t>(age);
   f.hw_ref = ops.PeekReferenced(slot) ? 1 : 0;
-  f.soft_ref = cache.soft_ref(slot) ? 1 : 0;
+  f.soft_ref = 1;  // every candidate is loaded
   f.load_seq_low = static_cast<uint32_t>(cache.load_seq(slot));
   f.state_class = ops.StateClass(slot);
   f.owner_is_self = ops.OwnerSlot(slot) == requester_slot ? 1 : 0;
@@ -1078,30 +1072,31 @@ VictimFeatures FeaturesFor(Cache& cache, Ops& ops, uint32_t slot, ObjectType typ
 
 // Policy-engine victim selection for one scan. Resolution order for the
 // requesting kernel: its loaded guest policy program (LoadPolicy) first,
-// else the perceptron when the type's knob asks for it, else the built-in
-// scan under the knob policy. Guest and perceptron scans go through
+// else its perceptron when it has enabled one for the type, else the
+// built-in clock scan. Guest and perceptron scans go through
 // ObjectCache::ReclaimScored; any abort (sandbox fault, budget exhaustion,
-// nothing to score) falls back to the built-in clock scan with a
-// kPolicyFallback trace event, so a load never fails because a policy
-// program misbehaved.
+// nothing to score) falls back to the clock scan with a kPolicyFallback
+// trace event, so a load never fails because a policy program misbehaved.
 template <typename Cache, typename Ops>
 bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cksim::Cpu& cpu,
                                     uint32_t requester_slot, uint64_t& scan_steps) {
   uint32_t t = static_cast<uint32_t>(type);
-  ReplacementPolicy policy = knobs_.replacement[t];
   PolicyTable* table = PolicyTableOf(requester_slot);
+  if (table == nullptr) {
+    return cache.Reclaim(ops, scan_steps);
+  }
 
   auto fall_back = [&](PolicyFallback reason) {
     stats_.policy_fallbacks++;
     Tenant(requester_slot).policy_fallbacks++;
     CK_TRACE(Ring(cpu), obs::EventType::kPolicyFallback, cpu.clock(), requester_slot,
              (t << 8) | static_cast<uint32_t>(reason));
-    return cache.Reclaim(ReplacementPolicy::kClock, ops, scan_steps);
+    return cache.Reclaim(ops, scan_steps);
   };
 
-  if (table != nullptr && table->guest[t].enabled) {
+  if (table->guest[t].enabled) {
     const GuestPolicy& guest = table->guest[t];
-    uint32_t budget = knobs_.policy_step_budget;
+    uint32_t budget = config_.policy_step_budget;
     uint64_t vm_steps = 0;
     PolicyFallback abort_reason = PolicyFallback::kNoCandidate;
     // The program only ever scores the requester's own descriptors: the
@@ -1149,11 +1144,8 @@ bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cks
     return fall_back(abort_reason);
   }
 
-  if (policy == ReplacementPolicy::kPerceptron) {
-    if (table == nullptr) {
-      return fall_back(PolicyFallback::kNoTable);
-    }
-    Perceptron& p = table->perceptron[t];
+  Perceptron& p = table->perceptron[t];
+  if (p.enabled) {
     // Referenced-bit harvest. The clock scan's recency signal comes from its
     // lazy clearing: a bit survives about one hand lap, long enough for hot
     // descriptors to re-set it and cold ones not to. The perceptron (trusted,
@@ -1187,7 +1179,7 @@ bool CacheKernel::ReclaimWithPolicy(Cache& cache, Ops& ops, ObjectType type, cks
     return fall_back(PolicyFallback::kNoCandidate);
   }
 
-  return cache.Reclaim(policy, ops, scan_steps);
+  return cache.Reclaim(ops, scan_steps);
 }
 
 bool CacheKernel::ReclaimVictim(ObjectType type, cksim::Cpu& cpu, uint32_t requester_slot) {
@@ -1224,47 +1216,19 @@ bool CacheKernel::ReclaimVictim(ObjectType type, cksim::Cpu& cpu, uint32_t reque
 }
 
 void CacheKernel::NotePolicyLoad(ObjectType type, uint32_t owner_slot, uint64_t key) {
-  uint32_t t = static_cast<uint32_t>(type);
-  if (knobs_.replacement[t] != ReplacementPolicy::kPerceptron) {
-    return;  // built-in policies must see zero extra work (bit-exactness)
-  }
   PolicyTable* table = PolicyTableOf(owner_slot);
   if (table == nullptr) {
     return;
   }
-  Perceptron& p = table->perceptron[t];
+  Perceptron& p = table->perceptron[static_cast<uint32_t>(type)];
+  if (!p.enabled) {
+    return;  // the clock scan must see zero extra work (bit-exactness)
+  }
   uint64_t before = p.trains;
   if (p.NoteLoad(key)) {
     stats_.policy_ghost_hits++;
   }
   stats_.policy_trains += p.trains - before;
-}
-
-void CacheKernel::set_replacement_policy(ObjectType type, ReplacementPolicy policy) {
-  uint32_t t = static_cast<uint32_t>(type);
-  if (knobs_.replacement[t] == policy) {
-    return;
-  }
-  knobs_.replacement[t] = policy;
-  // A real switch resets the scan hand and soft referenced bits to their
-  // post-load values, so victim selection from here on is a deterministic
-  // function of the new policy and the load history -- not of how much scan
-  // state the outgoing policy happened to consume.
-  switch (type) {
-    case ObjectType::kKernel:
-      kernels_.ResetPolicyState();
-      break;
-    case ObjectType::kSpace:
-      spaces_.ResetPolicyState();
-      break;
-    case ObjectType::kThread:
-      threads_.ResetPolicyState();
-      break;
-    case ObjectType::kMapping:
-      pmap_.ResetPolicyState();
-      frame_tiers_.ResetPolicyState();  // scans under the same knob
-      break;
-  }
 }
 
 CkStatus CacheKernel::LoadPolicy(KernelId caller, cksim::Cpu& cpu, ObjectType type,
@@ -1336,8 +1300,6 @@ void CacheKernel::SetFrameTierInternal(uint32_t frame, cksim::MemTier to, TierCh
     frame_tiers_.OnRelease(frame);
   } else if (from == cksim::MemTier::kNone) {
     frame_tiers_.OnLoad(frame);
-  } else {
-    frame_tiers_.Touch(frame);  // migration counts as a fresh use either way
   }
   tier_ref_[frame] = 0;  // referenced evidence does not survive a transition
   bool valid_slot = tenant_slot < tenant_.size();
@@ -1382,8 +1344,7 @@ void CacheKernel::TierAdmitFrame(uint32_t frame, cksim::Cpu* cpu, uint32_t reque
   }
   cksim::PhysicalMemory& mem = machine_.memory();
   if (mem.tier_of(frame) != cksim::MemTier::kNone) {
-    frame_tiers_.Touch(frame);  // already tracked: recency refresh only
-    return;
+    return;  // already tracked
   }
   // Make room first. Pool-hook admissions arrive without a CPU to charge the
   // reclaim work to; they admit over budget and the next maintenance scan
@@ -1401,9 +1362,9 @@ void CacheKernel::TierAdmitFrame(uint32_t frame, cksim::Cpu* cpu, uint32_t reque
   }
 }
 
-// The demotion victim scan: the same generic Reclaim engine as the four
-// descriptor caches, run over physical frames under the mapping cache's
-// replacement policy. Occupied slots are DRAM-resident frames.
+// The demotion victim scan: the same clock Reclaim engine as the four
+// descriptor caches, run over physical frames. Occupied slots are
+// DRAM-resident frames.
 struct CacheKernel::FrameTierOps {
   static constexpr int kPasses = 1;
   static constexpr bool kScanOccupiedSteps = true;  // budget counts DRAM visits
@@ -1472,17 +1433,16 @@ struct CacheKernel::FrameTierOps {
 bool CacheKernel::TierReclaimOne(cksim::Cpu& cpu, uint32_t requester_slot, uint32_t exclude) {
   FrameTierOps ops{*this, cpu, requester_slot, exclude};
   uint64_t steps = 0;
-  ReplacementPolicy policy = knobs_.replacement[static_cast<uint32_t>(ObjectType::kMapping)];
-  bool evicted = frame_tiers_.Reclaim(policy, ops, steps);
+  bool evicted = frame_tiers_.Reclaim(ops, steps);
   stats_.tier_scan_steps += steps;
   return evicted;
 }
 
 void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
-  if (!TierEnabled() || knobs_.tier_promote_period == 0 || cpu.clock() < tier_next_scan_) {
+  if (!TierEnabled() || config_.tier_promote_period == 0 || cpu.clock() < tier_next_scan_) {
     return;
   }
-  tier_next_scan_ = cpu.clock() + knobs_.tier_promote_period;
+  tier_next_scan_ = cpu.clock() + config_.tier_promote_period;
   cksim::PhysicalMemory& mem = machine_.memory();
   uint32_t fallback_slot = first_kernel_.id.slot;
   // Trim DRAM back to budget: pool-hook admissions overshoot (no CPU to
@@ -1497,7 +1457,7 @@ void CacheKernel::TierMaintenance(cksim::Cpu& cpu) {
   // promotion opens a causal span so the migration's downstream cost (the
   // demotions it forces, the TLB refills) is attributable.
   uint32_t page_count = mem.page_count();
-  uint32_t budget = knobs_.tier_scan_frames;
+  uint32_t budget = config_.tier_scan_frames;
   uint32_t hand = tier_promote_hand_;
   for (uint32_t i = 0; i < page_count && budget > 0; ++i) {
     uint32_t frame = hand;
@@ -1617,9 +1577,6 @@ void CacheKernel::TierTouch(PhysAddr addr) {
     return;
   }
   tier_ref_[frame] = 1;
-  if (machine_.memory().tier_of(frame) != cksim::MemTier::kNone) {
-    frame_tiers_.Touch(frame);
-  }
 }
 
 void CacheKernel::TierFramePoolEvent(KernelId owner, PhysAddr frame_addr, bool allocated) {
@@ -2311,26 +2268,6 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
                         [m, c] { return m->cpu(c).mmu().tlb().misses(); });
   }
 
-  // Machine-level file-service counters: sums of the per-tenant fs_* fields
-  // (the fs layer charges per kernel via ChargeFs, so the machine totals are
-  // derived, and slot-sum conservation holds by construction).
-  const std::vector<CostAccount>* fs_tenants = &tenant_;
-  auto fs_total = [fs_tenants](uint64_t CostAccount::*field) {
-    uint64_t total = 0;
-    for (const CostAccount& a : *fs_tenants) {
-      total += a.*field;
-    }
-    return total;
-  };
-  registry.AddCounter("ck.fs.hits", [fs_total] { return fs_total(&CostAccount::fs_hits); });
-  registry.AddCounter("ck.fs.misses", [fs_total] { return fs_total(&CostAccount::fs_misses); });
-  registry.AddCounter("ck.fs.readahead_issued",
-                      [fs_total] { return fs_total(&CostAccount::fs_readahead_issued); });
-  registry.AddCounter("ck.fs.readahead_useful",
-                      [fs_total] { return fs_total(&CostAccount::fs_readahead_useful); });
-  registry.AddCounter("ck.fs.invalidations",
-                      [fs_total] { return fs_total(&CostAccount::fs_invalidations); });
-
   const FaultStepStats* f = &fault_step_stats_;
   registry.AddHistogram("ck.fault_us.transfer", [f] { return f->transfer; });
   registry.AddHistogram("ck.fault_us.handle_load", [f] { return f->handle_load; });
@@ -2375,16 +2312,6 @@ void CacheKernel::RegisterMetrics(obs::Registry& registry) {
                         [tenants, slot] { return (*tenants)[slot].exec_trace_invalidations; });
     registry.AddCounter(prefix + "trace_builds",
                         [tenants, slot] { return (*tenants)[slot].exec_trace_builds; });
-    registry.AddCounter(prefix + "fs_hits",
-                        [tenants, slot] { return (*tenants)[slot].fs_hits; });
-    registry.AddCounter(prefix + "fs_misses",
-                        [tenants, slot] { return (*tenants)[slot].fs_misses; });
-    registry.AddCounter(prefix + "fs_readahead_issued",
-                        [tenants, slot] { return (*tenants)[slot].fs_readahead_issued; });
-    registry.AddCounter(prefix + "fs_readahead_useful",
-                        [tenants, slot] { return (*tenants)[slot].fs_readahead_useful; });
-    registry.AddCounter(prefix + "fs_invalidations",
-                        [tenants, slot] { return (*tenants)[slot].fs_invalidations; });
     registry.AddCounter(prefix + "tier_admissions",
                         [tenants, slot] { return (*tenants)[slot].tier_admissions; });
     registry.AddCounter(prefix + "tier_demotions",
@@ -2404,31 +2331,6 @@ void CacheKernel::set_profile_period(cksim::Cycles period) {
   knobs_.profile_period = period;
   for (uint32_t c = 0; c < machine_.cpu_count(); ++c) {
     samplers_[c].Arm(machine_.cpu(c).clock(), period);
-  }
-}
-
-void CacheKernel::ChargeFs(KernelId kernel, FsCounter counter, uint64_t count) {
-  uint32_t slot = kernel.id.slot;
-  if (slot >= tenant_.size()) {
-    return;
-  }
-  CostAccount& account = Tenant(slot);
-  switch (counter) {
-    case FsCounter::kHit:
-      account.fs_hits += count;
-      break;
-    case FsCounter::kMiss:
-      account.fs_misses += count;
-      break;
-    case FsCounter::kReadaheadIssued:
-      account.fs_readahead_issued += count;
-      break;
-    case FsCounter::kReadaheadUseful:
-      account.fs_readahead_useful += count;
-      break;
-    case FsCounter::kInvalidation:
-      account.fs_invalidations += count;
-      break;
   }
 }
 

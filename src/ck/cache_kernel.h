@@ -144,14 +144,6 @@ struct CostAccount {
   uint64_t exec_trace_misses = 0;
   uint64_t exec_trace_invalidations = 0;
   uint64_t exec_trace_builds = 0;
-  // File-service client cache work done by this kernel's threads (src/fs),
-  // recorded through ChargeFs. Machine-level ck.fs.* metrics are the sums of
-  // these fields across slots, so conservation holds by construction.
-  uint64_t fs_hits = 0;
-  uint64_t fs_misses = 0;
-  uint64_t fs_readahead_issued = 0;
-  uint64_t fs_readahead_useful = 0;
-  uint64_t fs_invalidations = 0;
   // Tiered-memory work attributed to this kernel: admissions/demotions/
   // evictions charge the frame's owning tenant when one exists (the kernel of
   // the first virtual mapping) and otherwise the kernel whose load forced the
@@ -165,15 +157,6 @@ struct CostAccount {
   // scans for its loads that abandoned the requested policy for clock.
   uint64_t policy_vm_steps = 0;
   uint64_t policy_fallbacks = 0;
-};
-
-// Which CostAccount fs_* counter a ChargeFs call lands in.
-enum class FsCounter : uint8_t {
-  kHit,
-  kMiss,
-  kReadaheadIssued,
-  kReadaheadUseful,
-  kInvalidation,
 };
 
 // Timestamps of the Figure 2 steps for one forwarded fault. The most recent
@@ -249,23 +232,15 @@ struct RuntimeKnobs {
   // Profiler sampling period in cycles; 0 disables sampling. Samples are
   // taken only at fast-path flush points (see ckisa::PcSampler).
   cksim::Cycles profile_period = 0;
-  ReplacementPolicy replacement[kObjectTypeCount] = {
-      ReplacementPolicy::kClock, ReplacementPolicy::kClock, ReplacementPolicy::kClock,
-      ReplacementPolicy::kClock};
   // Tiered physical memory (docs/TIERING.md; boot defaults in
   // CacheKernelConfig). tier_dram_frames == 0 disables tiering.
   uint32_t tier_dram_frames = 0;
   bool tier_demote = true;  // demote cold frames to the slow tier vs full evict
-  cksim::Cycles tier_promote_period = 0;
-  uint32_t tier_scan_frames = 64;
-  // Guest policy VM: CKVM instructions one victim scan may spend across all
-  // of its candidates before aborting to clock (docs/POLICY_VM.md).
-  uint32_t policy_step_budget = 4096;
 };
 
 // Capacity-only backing store for the frame-tier ObjectCache: the cache
-// tracks per-frame recency state (load stamps, soft referenced bits, clock
-// hand) over physical page frames; the frames themselves live in
+// tracks per-frame state (load stamps, clock hand) over physical page
+// frames; the frames themselves live in
 // cksim::PhysicalMemory.
 class FrameTierStore {
  public:
@@ -418,12 +393,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void set_profile_period(cksim::Cycles period);
   // Per-kernel-slot cost attribution (always on; see CostAccount).
   const std::vector<CostAccount>& tenant_accounts() const { return tenant_; }
-  // Attribute file-service client cache work (hits/misses/read-ahead/
-  // invalidations) to `kernel`'s cost account. The fs layer lives in
-  // application kernels (src/fs); this is its one hook into the always-on
-  // attribution machinery, mirrored by the ck.fs.* and ck.tenant.<slot>.fs_*
-  // metrics. Out-of-range slots are ignored.
-  void ChargeFs(KernelId kernel, FsCounter counter, uint64_t count = 1);
   // Profiler PC histograms: profile_pcs()[slot] maps guest PC -> sample
   // count for the kernel that held `slot` when the samples were taken.
   const std::vector<std::map<uint32_t, uint64_t>>& profile_pcs() const { return profile_pcs_; }
@@ -434,16 +403,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void set_fatal_hook(std::function<void(const std::string&)> hook) {
     fatal_hook_ = std::move(hook);
   }
-  // Switch a descriptor cache's replacement policy at runtime. Consulted
-  // once per reclamation, so this is safe at any point. A real switch (new
-  // policy != old) deterministically resets the cache's scan hand and soft
-  // referenced bits (ObjectCache::ResetPolicyState) so the run's subsequent
-  // victims don't depend on how much state the old policy consumed; the
-  // mapping type also resets the frame-tier cache, which scans under the
-  // same knob. Defined in cache_kernel.cc.
-  void set_replacement_policy(ObjectType type, ReplacementPolicy policy);
-  // Per-scan CKVM budget for guest policy programs (docs/POLICY_VM.md).
-  void set_policy_step_budget(uint32_t budget) { knobs_.policy_step_budget = budget; }
   // ---- tiered physical memory (docs/TIERING.md) ----
   // Set the DRAM budget (frames; 0 disables tiering) and the pressure mode
   // (demote-to-slow vs full evict). Safe at any point: consulted at the next
@@ -453,7 +412,6 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
     knobs_.tier_dram_frames = dram_frames;
     knobs_.tier_demote = demote;
   }
-  void set_tier_promote_period(cksim::Cycles period) { knobs_.tier_promote_period = period; }
   // Recency touch for a frame an application kernel holds outside any
   // mapping (file-cache pages, src/fs): gives it the same second chance a
   // hardware referenced bit gives a mapped frame.
@@ -543,8 +501,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   bool MappingEffectivelyLocked(uint32_t pv_index);
 
   // -- reclamation (capacity-forced victims) --
-  // One generic engine (src/ck/object_cache.h) driven by per-type Ops glue;
-  // the policy comes from knobs_.replacement[type].
+  // One generic engine (src/ck/object_cache.h) driven by per-type Ops glue:
+  // the clock scan, unless the requester's PolicyTable picks a scored one.
   struct KernelVictimOps;
   struct SpaceVictimOps;
   struct ThreadVictimOps;
@@ -553,7 +511,7 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // steps are charged to its cost account.
   bool ReclaimVictim(ObjectType type, cksim::Cpu& cpu, uint32_t requester_slot);
   // Score-based selection under the requester's policy: its loaded guest
-  // program first, else the perceptron when the knob asks for it, with a
+  // program first, else its perceptron when enabled, with a
   // traced clock fallback on fault / budget exhaustion / no candidate.
   // Member template defined in cache_kernel.cc (every instantiation lives
   // there).
@@ -563,8 +521,8 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   // The requester's per-kernel policy state, or nullptr (no kernel in the
   // slot, or its AppKernel keeps no PolicyTable).
   PolicyTable* PolicyTableOf(uint32_t kernel_slot);
-  // Ghost-cache training hook, called on every successful load of a
-  // descriptor whose type currently scans under kPerceptron.
+  // Ghost-cache training hook, called on every successful load; trains the
+  // owner's perceptron for the type when the owner has enabled it.
   void NotePolicyLoad(ObjectType type, uint32_t owner_slot, uint64_t key);
 
   // -- cascaded unload (Figure 6 order). Writeback unless kDiscard; the
@@ -675,10 +633,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   ObjectCache<ckbase::FixedPool<ThreadObject>> threads_;
   ObjectCache<PhysicalMemoryMap> pmap_;
   TableArena table_arena_;
-  // Frame-tier recency cache: load stamps / soft bits / clock hand over
-  // physical frames (one slot per frame; "loaded" == tier-tracked). The
-  // demotion victim scan runs the same pluggable Reclaim engine as the four
-  // descriptor caches, under the mapping type's replacement policy.
+  // Frame-tier cache: load stamps / clock hand over physical frames (one
+  // slot per frame; "loaded" == tier-tracked). The demotion victim scan runs
+  // the same clock Reclaim engine as the four descriptor caches.
   ObjectCache<FrameTierStore> frame_tiers_;
   std::vector<uint8_t> tier_ref_;   // soft referenced bit per frame (TierTouch)
   uint32_t tier_promote_hand_ = 0;  // round-robin start of the promotion scan

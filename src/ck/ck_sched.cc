@@ -391,11 +391,6 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
     stats_.context_switches++;
     CK_TRACE(Ring(cpu), obs::EventType::kContextSwitch, cpu.clock(), current->priority,
              threads_.IdOf(current).Packed());
-    // Dispatch is the recency signal for descriptor second chance: the
-    // thread, its space and its owning kernel are all in active use.
-    threads_.Touch(threads_.SlotOf(current));
-    spaces_.Touch(current->space_slot);
-    kernels_.Touch(current->kernel_slot);
   }
 
   if (current->native != nullptr) {

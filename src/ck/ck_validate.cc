@@ -221,7 +221,7 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
 
   // --- ObjectCache accounting matches store occupancy ---
   // Every loaded descriptor carries a nonzero load stamp and every free slot
-  // a zero one; drift would skew FIFO ages and the replacement bookkeeping.
+  // a zero one; drift would skew the ages scoring policies see.
   for (uint32_t slot = 0; slot < kernels_.capacity(); ++slot) {
     if (kernels_.IsAllocated(slot) != (kernels_.load_seq(slot) != 0)) {
       fail("kernel cache load stamp disagrees with pool occupancy");
@@ -241,30 +241,6 @@ std::vector<std::string> CacheKernel::ValidateInvariants() {
     bool is_pv = pmap_.record(i).type() == RecordType::kPhysToVirt;
     if (is_pv != (pmap_.load_seq(i) != 0)) {
       fail("mapping cache load stamp disagrees with pv occupancy");
-    }
-  }
-
-  // A second-chance soft-reference bit may only be set on a loaded slot:
-  // ResetPolicyState and the eviction paths clear it on free, and a stray
-  // bit would give a policy scan a free ride on a recycled slot.
-  for (uint32_t slot = 0; slot < kernels_.capacity(); ++slot) {
-    if (kernels_.soft_ref(slot) && kernels_.load_seq(slot) == 0) {
-      fail("kernel cache soft-ref bit set on a free slot");
-    }
-  }
-  for (uint32_t slot = 0; slot < spaces_.capacity(); ++slot) {
-    if (spaces_.soft_ref(slot) && spaces_.load_seq(slot) == 0) {
-      fail("space cache soft-ref bit set on a free slot");
-    }
-  }
-  for (uint32_t slot = 0; slot < threads_.capacity(); ++slot) {
-    if (threads_.soft_ref(slot) && threads_.load_seq(slot) == 0) {
-      fail("thread cache soft-ref bit set on a free slot");
-    }
-  }
-  for (uint32_t i = 0; i < pmap_.capacity(); ++i) {
-    if (pmap_.soft_ref(i) && pmap_.load_seq(i) == 0) {
-      fail("mapping cache soft-ref bit set on a free slot");
     }
   }
 

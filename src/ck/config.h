@@ -14,40 +14,6 @@
 
 namespace ck {
 
-// Victim-selection policy for a descriptor cache (src/ck/object_cache.h).
-// kClock is the paper's behavior and the default: a clock scan with second
-// chance on the hardware referenced bit for mappings (pool scans have no
-// hardware bit, so the clock hand takes the first unpinned slot). kFifo
-// evicts the oldest load. kSecondChance extends the clock scan with soft
-// referenced bits maintained by the Cache Kernel (thread dispatch, signal
-// delivery), giving recently-used descriptors one extra trip of the hand.
-// kPerceptron scores candidates with the requesting kernel's ghost-cache-
-// trained integer perceptron (src/ck/policy.h) and evicts the minimum;
-// kernels without a policy table fall back to clock. Guest CKVM policy
-// programs are not a policy name: an app kernel installs one with the
-// LoadPolicy operation and it overrides whatever knob is set for its own
-// descriptors.
-enum class ReplacementPolicy : uint8_t {
-  kClock = 0,
-  kFifo = 1,
-  kSecondChance = 2,
-  kPerceptron = 3,
-};
-
-inline const char* ReplacementPolicyName(ReplacementPolicy policy) {
-  switch (policy) {
-    case ReplacementPolicy::kClock:
-      return "clock";
-    case ReplacementPolicy::kFifo:
-      return "fifo";
-    case ReplacementPolicy::kSecondChance:
-      return "second-chance";
-    case ReplacementPolicy::kPerceptron:
-      return "perceptron";
-  }
-  return "?";
-}
-
 struct CacheKernelConfig {
   // Descriptor cache capacities (Table 1).
   uint32_t kernel_slots = 16;
@@ -69,7 +35,6 @@ struct CacheKernelConfig {
   bool signal_on_write = false;     // ParaDiGM hardware assist: every store to
                                     // a message page generates the signal; off
                                     // means senders signal explicitly
-  uint32_t signal_queue_depth = 8;  // per-thread pending signal ring
 
   // Guest-execution fast path (src/isa/fastpath.h): per-CPU micro-TLB,
   // decoded-instruction cache and batched cycle accounting. Simulated results
@@ -97,25 +62,17 @@ struct CacheKernelConfig {
   // CacheKernel::set_profile_period (a RuntimeKnobs field, like fastpath).
   cksim::Cycles profile_period = 0;
 
-  // Boot-time replacement policy per descriptor cache, indexed by
-  // ck::ObjectType (kernel, space, thread, mapping). Runtime-mutable through
-  // CacheKernel::set_replacement_policy (a RuntimeKnobs field, like
-  // fastpath); this is only the boot default.
-  ReplacementPolicy replacement[4] = {ReplacementPolicy::kClock, ReplacementPolicy::kClock,
-                                      ReplacementPolicy::kClock, ReplacementPolicy::kClock};
-
   // Guest policy VM: CKVM instructions one victim scan may spend across all
   // of its candidates (docs/POLICY_VM.md). Exhaustion aborts the scan and
-  // falls back to clock with a kPolicyFallback trace event. Runtime-mutable
-  // through CacheKernel::set_policy_step_budget (a RuntimeKnobs field).
+  // falls back to clock with a kPolicyFallback trace event.
   uint32_t policy_step_budget = 4096;
 
   // Tiered physical memory (docs/TIERING.md). tier_dram_frames bounds how
   // many frames may be DRAM-resident at once; 0 (the default) disables
   // tiering entirely -- every frame stays untracked and behaves like DRAM,
-  // which is the pre-tiering behavior bit for bit. All four are runtime-
-  // mutable through CacheKernel::set_tiers / set_tier_promote_period
-  // (RuntimeKnobs fields, like fastpath); these are only the boot defaults.
+  // which is the pre-tiering behavior bit for bit. The first two are
+  // runtime-mutable through CacheKernel::set_tiers (RuntimeKnobs fields, like
+  // fastpath); these are only their boot defaults.
   uint32_t tier_dram_frames = 0;
   // Under DRAM pressure: demote the cold victim to the slow tier (true, the
   // default -- keeps its mappings loaded at slow-tier access cost) or fully

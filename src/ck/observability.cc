@@ -34,9 +34,6 @@ void PrintUsage(const char* prog, const std::vector<std::string>& passthrough) {
                "  --flight-recorder=<dir>  dump post-mortem records into <dir>\n"
                "  --fastpath=on|off        force the guest-execution fast path\n"
                "  --trace-exec=on|off      force superblock trace execution\n"
-               "  --policy=[<type>:]<name> replacement policy: clock|fifo|second-chance|\n"
-               "                           perceptron, for all four object types or one of\n"
-               "                           kernel|space|thread|mapping\n"
                "  --tiers=off|<frames>[,demote|,evict]  tiered memory DRAM budget\n",
                prog, static_cast<unsigned long long>(kDefaultProfilePeriod));
   if (!passthrough.empty()) {
@@ -93,52 +90,6 @@ ObsSession::ObsSession(int& argc, char** argv, std::initializer_list<const char*
       trace_exec_override_ = 1;
     } else if (std::strcmp(arg, "--trace-exec=off") == 0) {
       trace_exec_override_ = 0;
-    } else if (std::strncmp(arg, "--policy=", 9) == 0) {
-      const char* value = arg + 9;
-      // Optional "<type>:" prefix narrows the override to one object type.
-      int type = -1;  // -1 = all four
-      const char* name = value;
-      if (const char* colon = std::strchr(value, ':')) {
-        std::string type_name(value, colon - value);
-        if (type_name == "kernel") {
-          type = static_cast<int>(ObjectType::kKernel);
-        } else if (type_name == "space") {
-          type = static_cast<int>(ObjectType::kSpace);
-        } else if (type_name == "thread") {
-          type = static_cast<int>(ObjectType::kThread);
-        } else if (type_name == "mapping") {
-          type = static_cast<int>(ObjectType::kMapping);
-        } else {
-          std::fprintf(stderr, "%s: unknown object type in --policy=%s (kernel|space|thread|mapping)\n",
-                       argv[0], value);
-          PrintUsage(argv[0], pass);
-          std::exit(2);
-        }
-        name = colon + 1;
-      }
-      int policy = -1;
-      if (std::strcmp(name, "clock") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kClock);
-      } else if (std::strcmp(name, "fifo") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kFifo);
-      } else if (std::strcmp(name, "second-chance") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kSecondChance);
-      } else if (std::strcmp(name, "perceptron") == 0) {
-        policy = static_cast<int>(ReplacementPolicy::kPerceptron);
-      } else {
-        std::fprintf(stderr,
-                     "%s: unknown --policy=%s (clock|fifo|second-chance|perceptron)\n", argv[0],
-                     value);
-        PrintUsage(argv[0], pass);
-        std::exit(2);
-      }
-      if (type >= 0) {
-        policy_override_[type] = policy;
-      } else {
-        for (uint32_t t = 0; t < kObjectTypeCount; ++t) {
-          policy_override_[t] = policy;
-        }
-      }
     } else if (std::strncmp(arg, "--tiers=", 8) == 0) {
       const char* value = arg + 8;
       if (std::strcmp(value, "off") == 0) {
@@ -225,12 +176,6 @@ void ObsSession::Attach(cksim::Machine& machine, CacheKernel* kernel) {
   }
   if (trace_exec_override_ >= 0) {
     kernel->set_trace_exec(trace_exec_override_ == 1);
-  }
-  for (uint32_t type = 0; type < kObjectTypeCount; ++type) {
-    if (policy_override_[type] >= 0) {
-      kernel->set_replacement_policy(static_cast<ObjectType>(type),
-                                     static_cast<ReplacementPolicy>(policy_override_[type]));
-    }
   }
   if (tiers_frames_ >= 0) {
     kernel->set_tiers(static_cast<uint32_t>(tiers_frames_), tiers_demote_);
@@ -378,7 +323,7 @@ void ObsSession::Finish() {
   }
   // Finish is a one-shot: the registry's callbacks and the machine pointers
   // reference objects the caller may destroy right after, so drop them.
-  // (Fastpath/policy overrides survive so later worlds in a multi-world bench
+  // (Fastpath/tier overrides survive so later worlds in a multi-world bench
   // still honor the flags.)
   attached_.clear();
   trace_path_.clear();

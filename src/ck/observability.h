@@ -31,13 +31,6 @@
 //   --trace-exec=on|off   force superblock trace execution on or off (only
 //                         meaningful with the fast path enabled; identical
 //                         results either way, see docs/PERFORMANCE.md)
-//   --policy=<name>       descriptor-cache replacement policy for all four
-//                         object types: clock (default), fifo, second-chance,
-//                         perceptron (see docs/PERFORMANCE.md)
-//   --policy=<type>:<name>  set one object type only; <type> is one of
-//                         kernel|space|thread|mapping. May repeat, later
-//                         flags win per type (a bare --policy=<name> resets
-//                         all four).
 //   --tiers=off|<frames>[,demote|,evict]  tiered physical memory
 //                         (docs/TIERING.md): DRAM budget in frames with
 //                         demote-to-slow (default) or full-evict pressure
@@ -45,7 +38,7 @@
 //                         untracked at DRAM cost
 //
 // Unknown `--` flags are rejected with a usage message and exit code 2 (a
-// typo like --polcy=fifo must not silently run the default policy). Binaries
+// typo like --fastpth=off must not silently run the default). Binaries
 // with flags of their own list them in `passthrough`; anything there (prefix
 // match) is left in argv untouched, as are non-flag arguments and the
 // --gtest_*/--benchmark_* families.
@@ -136,9 +129,6 @@ class ObsSession {
   std::string flight_dir_;
   int fastpath_override_ = -1;  // -1 = leave config alone, else 0/1
   int trace_exec_override_ = -1;  // -1 = leave config alone, else 0/1
-  // Per object type: -1 = leave config alone, else ReplacementPolicy. Set
-  // by --policy=<name> (all four) or --policy=<type>:<name> (one type).
-  int policy_override_[kObjectTypeCount] = {-1, -1, -1, -1};
   int64_t tiers_frames_ = -1;   // -1 = leave config alone, else DRAM frame budget
   bool tiers_demote_ = true;    // pressure mode when tiers_frames_ >= 0
   std::vector<Attached> attached_;

@@ -1,8 +1,9 @@
 // Replacement-policy engine types (docs/POLICY_VM.md).
 //
 // The paper's thesis is that policy lives in application kernels while the
-// Cache Kernel caches mechanism. PR 5 made victim selection pluggable from
-// C++; this header pushes the policy itself out of the Cache Kernel:
+// Cache Kernel caches mechanism. The Cache Kernel's only built-in victim
+// policy is the clock scan; this header holds the policies an application
+// kernel chooses for its own descriptors:
 //
 //   * VictimFeatures is the fixed per-candidate feature vector every scoring
 //     policy sees -- and, laid out as 8 little-endian u32 words, the exact
@@ -42,7 +43,7 @@ struct VictimFeatures {
   uint32_t slot = 0;           // word 0: candidate slot / record index
   uint32_t age = 0;            // word 1: load_clock - load_seq, saturated
   uint32_t hw_ref = 0;         // word 2: hardware referenced bit (peeked)
-  uint32_t soft_ref = 0;       // word 3: soft referenced bit (peeked)
+  uint32_t soft_ref = 0;       // word 3: loaded -- always 1 for a candidate
   uint32_t load_seq_low = 0;   // word 4: low 32 bits of the load stamp
   uint32_t state_class = 0;    // word 5: per-type state (threads: 0 blocked,
                                //         1 ready/halted, 2 running)
@@ -62,7 +63,6 @@ inline constexpr uint32_t kMaxPolicyProgramWords = 256;
 // Why a guest-policy scan abandoned its program and fell back to clock.
 // Values appear as the arg32 of kPolicyFallback trace events.
 enum class PolicyFallback : uint8_t {
-  kNoTable = 0,      // requester has no policy table (perceptron knob)
   kFault = 1,        // program faulted (bad access, trap) in the sandbox
   kBudget = 2,       // per-scan step budget exhausted
   kNoCandidate = 3,  // no unpinned candidate owned by the requester
@@ -70,8 +70,10 @@ enum class PolicyFallback : uint8_t {
 
 // Ghost-cache-trained integer perceptron (LearnedCache's idea, sized for
 // descriptor caches). Score(f) predicts "keep-worthiness": the scored scan
-// evicts the minimum. All state is POD-ish and serialized field by field,
-// so checkpoints and migration carry it bit-exactly.
+// evicts the minimum. The owning app kernel turns it on per descriptor type
+// by setting `enabled` in its own PolicyTable. Everything else is POD-ish
+// and serialized field by field, so checkpoints and migration carry it
+// bit-exactly.
 struct Perceptron {
   static constexpr uint32_t kFeatureCount = 4;  // bias, hw_ref, soft_ref, age
   static constexpr uint32_t kGhostSlots = 128;
@@ -94,6 +96,9 @@ struct Perceptron {
   // candidate down. This is what makes the untrained perceptron already beat
   // FIFO on skewed traces; training refines it.
   int32_t w[kFeatureCount] = {0, 256, 128, -16};
+  // Score this kernel's victims with the perceptron. The owner's choice, not
+  // machine state: it is neither checkpointed nor part of Digest().
+  bool enabled = false;
   std::vector<Ghost> ghost = std::vector<Ghost>(kGhostSlots);
   uint64_t ghost_hits = 0;
   uint64_t trains = 0;

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/obs/metrics.h"
+
 namespace ckfs {
 
 using ck::CkApi;
@@ -62,9 +64,8 @@ class ClientFileCache::Pump : public ckapp::RpcEndpoint {
   ClientFileCache& cache_;
 };
 
-ClientFileCache::ClientFileCache(ckapp::AppKernelBase& owner, ck::CacheKernel& ck,
-                                 const Config& config)
-    : owner_(owner), ck_(ck), config_(config) {
+ClientFileCache::ClientFileCache(ckapp::AppKernelBase& owner, const Config& config)
+    : owner_(owner), config_(config) {
   if (config_.max_file_pages > 64) {
     config_.max_file_pages = 64;  // bitmap width
   }
@@ -250,7 +251,6 @@ void ClientFileCache::Invalidate(Entry& entry, uint32_t new_version) {
   entry.demand_fill = 0;
   entry.version = new_version;
   ++stats_.invalidations;
-  ck_.ChargeFs(owner_.self(), ck::FsCounter::kInvalidation);
 }
 
 void ClientFileCache::ApplyAttrs(const AttrReply& attr, const std::string& name) {
@@ -446,7 +446,6 @@ ClientFileCache::Status ClientFileCache::Read(CkApi& api, uint32_t fileid, uint3
     if ((entry->prefetched & bit) != 0) {
       entry->prefetched &= ~bit;
       ++stats_.readahead_useful;
-      ck_.ChargeFs(owner_.self(), ck::FsCounter::kReadaheadUseful);
     }
     uint32_t offset = page * kPageSize;
     uint32_t want = entry->size > offset ? entry->size - offset : 0;
@@ -465,7 +464,6 @@ ClientFileCache::Status ClientFileCache::Read(CkApi& api, uint32_t fileid, uint3
       entry->demand_fill &= ~bit;
     } else {
       ++stats_.hits;
-      ck_.ChargeFs(owner_.self(), ck::FsCounter::kHit);
     }
     MaybeReadahead(api, *entry, page);
     return Status::kHit;
@@ -481,7 +479,6 @@ ClientFileCache::Status ClientFileCache::Read(CkApi& api, uint32_t fileid, uint3
   NoteAccess(*entry, page);
   Touch(*entry);
   ++stats_.misses;
-  ck_.ChargeFs(owner_.self(), ck::FsCounter::kMiss);
   IssueRead(api, *entry, page, /*readahead=*/false);
   MaybeReadahead(api, *entry, page);
   return Status::kPending;
@@ -500,7 +497,6 @@ void ClientFileCache::IssueRead(CkApi& api, Entry& entry, uint32_t page, bool re
   if (readahead) {
     entry.ra_request |= bit;
     ++stats_.readahead_issued;
-    ck_.ChargeFs(owner_.self(), ck::FsCounter::kReadaheadIssued);
   }
   ++outstanding_rpcs_;
   std::vector<uint8_t> wire;
@@ -650,6 +646,15 @@ uint64_t ClientFileCache::frames_held() const {
     }
   }
   return held;
+}
+
+void ClientFileCache::RegisterMetrics(obs::Registry& registry) const {
+  const FsClientStats* s = &stats_;
+  registry.AddCounter("fs.hits", [s] { return s->hits; });
+  registry.AddCounter("fs.misses", [s] { return s->misses; });
+  registry.AddCounter("fs.readahead_issued", [s] { return s->readahead_issued; });
+  registry.AddCounter("fs.readahead_useful", [s] { return s->readahead_useful; });
+  registry.AddCounter("fs.invalidations", [s] { return s->invalidations; });
 }
 
 }  // namespace ckfs

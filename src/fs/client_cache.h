@@ -23,9 +23,9 @@
 // means "retry after yielding" (the DSM worker idiom); the reply and bulk
 // arrivals are driven by the cache's pump thread.
 //
-// All cache work is attributed to the owning kernel's CostAccount through
-// CacheKernel::ChargeFs and surfaces as the ck.fs.* / ck.tenant.<slot>.fs_*
-// metrics.
+// The cache counts its own work in FsClientStats -- library state of the
+// application kernel, not of the Cache Kernel -- and RegisterMetrics exports
+// it as the fs.* metrics.
 
 #ifndef SRC_FS_CLIENT_CACHE_H_
 #define SRC_FS_CLIENT_CACHE_H_
@@ -38,6 +38,10 @@
 #include "src/appkernel/channel.h"
 #include "src/fs/fs_protocol.h"
 #include "src/sim/devices.h"
+
+namespace obs {
+class Registry;
+}
 
 namespace ckfs {
 
@@ -66,7 +70,7 @@ class ClientFileCache {
 
   enum class Status { kHit, kPending, kError };
 
-  ClientFileCache(ckapp::AppKernelBase& owner, ck::CacheKernel& ck, const Config& config);
+  ClientFileCache(ckapp::AppKernelBase& owner, const Config& config);
   ~ClientFileCache();
 
   // Wire the cache to its server link: creates the pump/endpoint thread in
@@ -103,6 +107,8 @@ class ClientFileCache {
 
   // --- introspection (tests, examples) ---
   const FsClientStats& stats() const { return stats_; }
+  // Export hits, misses, read-ahead and invalidation counts as fs.* counters.
+  void RegisterMetrics(obs::Registry& registry) const;
   const Config& config() const { return config_; }
   uint32_t pump_thread() const { return pump_thread_; }
   bool PageCached(uint32_t fileid, uint32_t page) const;
@@ -175,7 +181,6 @@ class ClientFileCache {
   }
 
   ckapp::AppKernelBase& owner_;
-  ck::CacheKernel& ck_;
   Config config_;
 
   cksim::FiberChannelDevice* device_ = nullptr;

@@ -1,7 +1,7 @@
-// The generic descriptor-cache layer (src/ck/object_cache.h): policy
-// semantics at the unit level, and capacity-forced reclamation against the
-// Cache Kernel with section 4.2 effective-lock chains pinning victims, under
-// every replacement policy.
+// The generic descriptor-cache layer (src/ck/object_cache.h): the clock and
+// scored scans at the unit level, and capacity-forced reclamation against
+// the Cache Kernel with section 4.2 effective-lock chains pinning victims,
+// under the clock scan and both scored policies an app kernel can choose.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 #include "src/base/fixed_pool.h"
 #include "src/ck/cache_kernel.h"
 #include "src/ck/object_cache.h"
+#include "src/ck/policy.h"
+#include "src/isa/assembler.h"
 #include "src/sim/machine.h"
 
 namespace {
@@ -22,7 +24,6 @@ using ck::CkApi;
 using ck::KernelId;
 using ck::MappingSpec;
 using ck::ObjectType;
-using ck::ReplacementPolicy;
 using ck::SpaceId;
 using ck::ThreadId;
 using ck::ThreadSpec;
@@ -54,14 +55,11 @@ struct PoolOps {
   }
 };
 
-uint32_t ReclaimOnce(TestCache& pool, ReplacementPolicy policy, uint64_t* steps_out = nullptr) {
+uint32_t ReclaimOnce(TestCache& pool) {
   PoolOps ops{pool};
   uint64_t steps = 0;
-  if (!pool.Reclaim(policy, ops, steps)) {
+  if (!pool.Reclaim(ops, steps)) {
     return ck::kNoVictim;
-  }
-  if (steps_out != nullptr) {
-    *steps_out = steps;
   }
   return ops.evicted;
 }
@@ -79,100 +77,38 @@ TEST(ObjectCacheTest, LoadStampsTrackOccupancy) {
   EXPECT_EQ(pool.load_seq(slot_a), 0u);
 }
 
-TEST(ObjectCacheTest, FifoEvictsOldestLoadNotHandPosition) {
+TEST(ObjectCacheTest, ClockHandTakesSlotNotOldestLoad) {
   // Slots 0..3 hold A,B,C,D; A is released and its slot refilled with the
-  // NEWEST object E. The clock hand (still at 0) would take E; FIFO must
-  // take B, the oldest surviving load.
-  TestCache fifo_pool(4);
-  TestObj* a = fifo_pool.Allocate();
-  fifo_pool.Allocate();  // B -> slot 1
-  fifo_pool.Allocate();  // C -> slot 2
-  fifo_pool.Allocate();  // D -> slot 3
-  fifo_pool.Release(a);
-  TestObj* e = fifo_pool.Allocate();
-  ASSERT_EQ(fifo_pool.SlotOf(e), 0u);
-  EXPECT_EQ(ReclaimOnce(fifo_pool, ReplacementPolicy::kFifo), 1u) << "oldest load is B";
-
-  TestCache clock_pool(4);
-  a = clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Release(a);
-  e = clock_pool.Allocate();
-  ASSERT_EQ(clock_pool.SlotOf(e), 0u);
-  EXPECT_EQ(ReclaimOnce(clock_pool, ReplacementPolicy::kClock), 0u) << "hand takes slot 0";
-}
-
-TEST(ObjectCacheTest, FifoSkipsPinnedOldest) {
-  TestCache pool(3);
+  // NEWEST object E. The clock hand (still at 0) takes E, not the oldest
+  // load B: recency comes from referenced bits, not load order.
+  TestCache pool(4);
   TestObj* a = pool.Allocate();
-  pool.Allocate();
-  pool.Allocate();
-  a->pinned = true;
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kFifo), 1u) << "oldest unpinned";
-}
-
-TEST(ObjectCacheTest, SecondChanceProtectsTouchedSlot) {
-  TestCache pool(3);
-  pool.Allocate();  // A -> slot 0
   pool.Allocate();  // B -> slot 1
   pool.Allocate();  // C -> slot 2
-  // First reclaim: every soft bit is fresh from load, so the scan consumes
-  // all three and falls back to the forced victim A; the hand ends at 1.
-  uint64_t steps = 0;
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance, &steps), 0u);
-  EXPECT_EQ(steps, 3u) << "every slot got its second chance before the forced fallback";
-  // B and C now have spent soft bits. Touch B: the hand reaches B first but
-  // must pass it by and evict untouched C.
-  pool.Touch(1);
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance), 2u);
-  // Under plain clock the same touch would have been ignored.
-  TestCache clock_pool(3);
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  clock_pool.Allocate();
-  EXPECT_EQ(ReclaimOnce(clock_pool, ReplacementPolicy::kClock), 0u);
-  clock_pool.Touch(1);
-  EXPECT_EQ(ReclaimOnce(clock_pool, ReplacementPolicy::kClock), 1u);
+  pool.Allocate();  // D -> slot 3
+  pool.Release(a);
+  TestObj* e = pool.Allocate();
+  ASSERT_EQ(pool.SlotOf(e), 0u);
+  EXPECT_EQ(ReclaimOnce(pool), 0u) << "hand takes slot 0";
 }
 
 TEST(ObjectCacheTest, AllPinnedFailsForEveryPolicy) {
-  for (ReplacementPolicy policy : {ReplacementPolicy::kClock, ReplacementPolicy::kFifo,
-                                   ReplacementPolicy::kSecondChance}) {
-    TestCache pool(2);
-    pool.Allocate()->pinned = true;
-    pool.Allocate()->pinned = true;
-    EXPECT_EQ(ReclaimOnce(pool, policy), ck::kNoVictim)
-        << ck::ReplacementPolicyName(policy);
-    EXPECT_EQ(pool.in_use(), 2u) << "a failed scan must not evict";
-  }
-}
-
-TEST(ObjectCacheTest, PolicySwitchRestoresCanonicalScanState) {
-  // Run second-chance until the hand has moved and soft bits are spent, then
-  // reset (what CacheKernel::set_replacement_policy does on a runtime policy
-  // switch): the cache must behave exactly like a fresh load sequence.
-  TestCache pool(3);
-  pool.Allocate();
-  pool.Allocate();
-  pool.Allocate();
-  ASSERT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance), 0u);
-  ASSERT_NE(pool.hand(), 0u);
-  ASSERT_FALSE(pool.soft_ref(1)) << "the sweep consumed B's soft bit";
-
-  pool.ResetPolicyState();
-  EXPECT_EQ(pool.hand(), 0u);
-  EXPECT_TRUE(pool.soft_ref(1));
-  EXPECT_TRUE(pool.soft_ref(2));
-  EXPECT_FALSE(pool.soft_ref(0)) << "freed slots must stay unreferenced";
-
-  // Post-reset second-chance replays the fresh-state schedule: a full sweep
-  // spends every loaded slot's second chance, then the forced victim.
-  pool.Allocate();  // refill slot 0
+  TestCache pool(2);
+  pool.Allocate()->pinned = true;
+  pool.Allocate()->pinned = true;
+  EXPECT_EQ(ReclaimOnce(pool), ck::kNoVictim) << "clock";
+  PoolOps ops{pool};
   uint64_t steps = 0;
-  EXPECT_EQ(ReclaimOnce(pool, ReplacementPolicy::kSecondChance, &steps), 0u);
-  EXPECT_EQ(steps, 3u);
+  EXPECT_EQ(pool.ReclaimScored(
+                ops, steps, [](uint32_t) { return true; },
+                [](uint32_t, int64_t& s) {
+                  s = 0;
+                  return true;
+                },
+                [](uint32_t) {}),
+            ck::ScoredScan::kNoCandidate)
+      << "scored";
+  EXPECT_EQ(pool.in_use(), 2u) << "a failed scan must not evict";
 }
 
 // ---------------------------------------------------------------------------
@@ -262,7 +198,7 @@ TEST(ObjectCacheTest, ScoredScanLeavesClockHandAlone) {
   pool.Allocate();
   pool.Allocate();
   pool.Allocate();
-  ASSERT_EQ(ReclaimOnce(pool, ReplacementPolicy::kClock), 0u);
+  ASSERT_EQ(ReclaimOnce(pool), 0u);
   uint32_t hand_before = pool.hand();
   pool.Allocate();  // refill slot 0
   PoolOps ops{pool};
@@ -276,7 +212,7 @@ TEST(ObjectCacheTest, ScoredScanLeavesClockHandAlone) {
                 [](uint32_t) {}),
             ck::ScoredScan::kEvicted);
   EXPECT_EQ(pool.hand(), hand_before)
-      << "a scored full sweep must not disturb the clock policies' state";
+      << "a scored full sweep must not disturb the clock scan's state";
 }
 
 // ---------------------------------------------------------------------------
@@ -309,19 +245,41 @@ class SinkKernel : public ck::AppKernel {
   std::vector<uint64_t> space_writebacks;
   std::vector<uint64_t> kernel_writebacks;
   std::vector<uint64_t> mapping_writebacks;
+  ck::PolicyTable* policy_table() override { return &table; }
+  ck::PolicyTable table;
 };
 
-class ReclaimPolicyTest : public ::testing::TestWithParam<ReplacementPolicy> {
+// The victim policy the first kernel chooses for all four descriptor types:
+// none (the built-in clock scan), a guest FIFO program, or its perceptron.
+enum class Scan { kClock, kGuestFifo, kPerceptron };
+
+// FIFO as a guest policy program: score = feature word 4 (load_seq_low).
+std::vector<uint32_t> GuestFifoProgram() {
+  ckisa::AssembleResult assembled = ckisa::Assemble(
+      "li t0, " + std::to_string(ck::kPolicyFeatureBase) + "\nlw a0, 16(t0)\nhalt\n",
+      ck::kPolicyCodeBase);
+  EXPECT_TRUE(assembled.ok) << assembled.error;
+  return assembled.program.words;
+}
+
+class ReclaimPolicyTest : public ::testing::TestWithParam<Scan> {
  protected:
   void Init(CacheKernelConfig config) {
-    for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-      config.replacement[type] = GetParam();
-    }
     cksim::MachineConfig mc;
     mc.memory_bytes = 8u << 20;
     machine_ = std::make_unique<cksim::Machine>(mc);
     ck_ = std::make_unique<CacheKernel>(*machine_, config);
     first_id_ = ck_->BootFirstKernel(&first_, 0);
+    CkApi api = Api();
+    std::vector<uint32_t> words = GuestFifoProgram();
+    for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
+      if (GetParam() == Scan::kGuestFifo) {
+        ASSERT_EQ(api.LoadPolicy(static_cast<ObjectType>(type), words.data(),
+                                 static_cast<uint32_t>(words.size())),
+                  CkStatus::kOk);
+      }
+      first_.table.perceptron[type].enabled = GetParam() == Scan::kPerceptron;
+    }
   }
 
   CkApi Api() { return CkApi(*ck_, first_id_, machine_->cpu(0)); }
@@ -517,22 +475,19 @@ TEST_P(ReclaimPolicyTest, ScanStepCountersAdvance) {
   EXPECT_GT(ck_->stats().reclaim_scan_steps[t], 0u);
 }
 
-// kPerceptron runs too: SinkKernel publishes no PolicyTable, so every scan
-// takes the traced kNoTable fallback to clock -- the pin-chain and failure
-// semantics must hold on the fallback path exactly as on the built-ins.
+// The scored policies run the pin-chain and failure cases through
+// ReclaimScored (and, where the guest program admits no candidate -- other
+// kernels' descriptors -- its traced clock fallback); the semantics must
+// match the clock scan's.
 INSTANTIATE_TEST_SUITE_P(Policies, ReclaimPolicyTest,
-                         ::testing::Values(ReplacementPolicy::kClock, ReplacementPolicy::kFifo,
-                                           ReplacementPolicy::kSecondChance,
-                                           ReplacementPolicy::kPerceptron),
-                         [](const ::testing::TestParamInfo<ReplacementPolicy>& info) {
-                           switch (info.param) {
-                             case ReplacementPolicy::kClock:
+                         ::testing::Values(Scan::kClock, Scan::kGuestFifo, Scan::kPerceptron),
+                         [](const ::testing::TestParamInfo<Scan>& param_info) {
+                           switch (param_info.param) {
+                             case Scan::kClock:
                                return "Clock";
-                             case ReplacementPolicy::kFifo:
-                               return "Fifo";
-                             case ReplacementPolicy::kSecondChance:
-                               return "SecondChance";
-                             case ReplacementPolicy::kPerceptron:
+                             case Scan::kGuestFifo:
+                               return "GuestFifo";
+                             case Scan::kPerceptron:
                                return "Perceptron";
                            }
                            return "Unknown";

@@ -576,6 +576,7 @@ TEST(ObsSessionDeathTest, UnknownFlagExitsWithUsage) {
   // A removed flag and a typo'd one are both rejected, never ignored.
   EXPECT_EXIT(ParseOneFlag("--cpus-parallel"), ::testing::ExitedWithCode(2), "usage:");
   EXPECT_EXIT(ParseOneFlag("--polcy=fifo"), ::testing::ExitedWithCode(2), "usage:");
+  EXPECT_EXIT(ParseOneFlag("--policy=fifo"), ::testing::ExitedWithCode(2), "usage:");
 }
 
 // --- JsonLint itself ---

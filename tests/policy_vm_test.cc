@@ -39,7 +39,6 @@ using ck::CkApi;
 using ck::KernelId;
 using ck::ObjectType;
 using ck::PolicyFallback;
-using ck::ReplacementPolicy;
 using ck::SpaceId;
 using ck::ThreadId;
 using ck::ThreadSpec;
@@ -227,7 +226,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PolicyVmFuzzTest, ::testing::Values(1u, 2u, 3u, 
 // Kernel level
 // ---------------------------------------------------------------------------
 
-// Minimal app kernel with a PolicyTable (so LoadPolicy and kPerceptron work).
+// Minimal app kernel with a PolicyTable (so LoadPolicy and the perceptron work).
 class PolicyKernel : public ck::AppKernel {
  public:
   ck::HandlerAction HandleFault(const ck::FaultForward&, CkApi&) override {
@@ -494,10 +493,8 @@ TEST_F(PolicyVmTest, GuestWithNoOwnCandidatesFallsBackToClock) {
 TEST_F(PolicyVmTest, PerceptronEvictsTrainsAndCountsGhostHits) {
   CacheKernelConfig config;
   config.thread_slots = 4;
-  for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-    config.replacement[type] = ReplacementPolicy::kClock;
-  }
-  config.replacement[static_cast<int>(ObjectType::kThread)] = ReplacementPolicy::kPerceptron;
+  // The kernel's own choice, for its thread descriptors only.
+  first_.table.perceptron[static_cast<int>(ObjectType::kThread)].enabled = true;
   Init(config);
   CkApi api = Api();
   SpaceId space = FillThreads(6);
@@ -516,19 +513,6 @@ TEST_F(PolicyVmTest, PerceptronEvictsTrainsAndCountsGhostHits) {
   ck::Perceptron& p = first_.table.perceptron[static_cast<int>(ObjectType::kThread)];
   EXPECT_GE(p.ghost_hits, 1u);
   EXPECT_GE(p.trains, 1u);
-  ExpectClean();
-}
-
-TEST_F(PolicyVmTest, RuntimePolicySwitchResetsScanState) {
-  CacheKernelConfig config;
-  config.thread_slots = 4;
-  Init(config);
-  FillThreads(5);  // advance the clock hand past slot 0
-  ck_->set_replacement_policy(ObjectType::kThread, ReplacementPolicy::kSecondChance);
-  // Deterministic post-switch state: hand at 0, every loaded slot soft-ref'd
-  // exactly as after a fresh load sequence.
-  ExpectClean();
-  ck_->set_replacement_policy(ObjectType::kThread, ReplacementPolicy::kClock);
   ExpectClean();
 }
 

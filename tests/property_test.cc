@@ -50,8 +50,8 @@ class ModelKernel : public ck::AppKernel {
     unloaded_spaces.push_back(record.cookie);
   }
 
-  // Policy state, so kPerceptron and guest-program storms run for real
-  // instead of taking the no-table fallback.
+  // Policy state, so perceptron and guest-program storms have somewhere to
+  // live.
   ck::PolicyTable* policy_table() override { return &table; }
 
   uint64_t mapping_writebacks = 0;
@@ -192,9 +192,19 @@ void ExpectConservation(CacheKernel& ck) {
   }
 }
 
-// Storms run under every replacement policy: victim choice differs, but the
-// Figure 6 invariants and the load/unload conservation identity may not.
-class StormTest : public ::testing::TestWithParam<std::tuple<uint64_t, ck::ReplacementPolicy>> {};
+// FIFO as a guest program: score = load_seq_low (word 4), evict minimum.
+std::vector<uint32_t> GuestFifoWords() {
+  ckisa::AssembleResult program = ckisa::Assemble(
+      "li t0, " + std::to_string(ck::kPolicyFeatureBase) + "\nlw a0, 16(t0)\nhalt\n",
+      ck::kPolicyCodeBase);
+  EXPECT_TRUE(program.ok) << program.error;
+  return program.program.words;
+}
+
+// Storms run under the clock scan and under the model kernel's perceptron
+// (the scored scan): victim choice differs, but the Figure 6 invariants and
+// the load/unload conservation identity may not.
+class StormTest : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(StormTest, RandomObjectChurnPreservesInvariants) {
   cksim::MachineConfig mc;
@@ -205,11 +215,11 @@ TEST_P(StormTest, RandomObjectChurnPreservesInvariants) {
   config.space_slots = 8;
   config.thread_slots = 16;
   config.mapping_slots = 96;
-  for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-    config.replacement[type] = std::get<1>(GetParam());
-  }
   CacheKernel ck(machine, config);
   ModelKernel model;
+  for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
+    model.table.perceptron[type].enabled = std::get<1>(GetParam());
+  }
   KernelId kid = ck.BootFirstKernel(&model, 0);
   CkApi api(ck, kid, machine.cpu(0));
 
@@ -234,16 +244,13 @@ TEST_P(StormTest, RandomObjectChurnPreservesInvariants) {
   ExpectConservation(ck);
 }
 
-// kPerceptron rides along: the ModelKernel has a PolicyTable, so these seeds
-// drive the learned policy (scoring, ghost-cache training) through the same
-// churn and the same conservation identity as the built-ins.
+// The perceptron leg drives the learned policy (scoring, ghost-cache
+// training) through the same churn and the same conservation identity as
+// the clock scan.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, StormTest,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u),
-                       ::testing::Values(ck::ReplacementPolicy::kClock,
-                                         ck::ReplacementPolicy::kFifo,
-                                         ck::ReplacementPolicy::kSecondChance,
-                                         ck::ReplacementPolicy::kPerceptron)));
+                       ::testing::Bool()));
 
 // Same churn with a guest policy program scoring every victim scan: the VM
 // must not disturb any invariant or the conservation identity, whatever the
@@ -263,14 +270,10 @@ TEST_P(GuestPolicyStormTest, GuestScoredChurnPreservesInvariants) {
   KernelId kid = ck.BootFirstKernel(&model, 0);
   CkApi api(ck, kid, machine.cpu(0));
 
-  // FIFO as a guest program: score = load_seq_low (word 4), evict minimum.
-  ckisa::AssembleResult program = ckisa::Assemble(
-      "li t0, " + std::to_string(ck::kPolicyFeatureBase) + "\nlw a0, 16(t0)\nhalt\n",
-      ck::kPolicyCodeBase);
-  ASSERT_TRUE(program.ok) << program.error;
+  std::vector<uint32_t> words = GuestFifoWords();
   for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-    ASSERT_EQ(api.LoadPolicy(static_cast<ck::ObjectType>(type), program.program.words.data(),
-                             static_cast<uint32_t>(program.program.words.size())),
+    ASSERT_EQ(api.LoadPolicy(static_cast<ck::ObjectType>(type), words.data(),
+                             static_cast<uint32_t>(words.size())),
               CkStatus::kOk);
   }
 
@@ -295,18 +298,19 @@ TEST_P(GuestPolicyStormTest, GuestScoredChurnPreservesInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GuestPolicyStormTest,
                          ::testing::Values(1u, 7u, 23u, 101u, 977u));
 
-// Regression for the runtime policy-switch plumbing: switching policies
-// between storm phases must land every cache in a canonical state (hand at
-// 0, soft-ref bits re-armed), so two identically-seeded worlds driven
-// through the same phase schedule stay operation-for-operation identical.
+// The model kernel changes its victim policy between storm phases: clock,
+// then a guest FIFO program (LoadPolicy), then its perceptron enabled (the
+// loaded program still wins), then ClearPolicy (the perceptron scores). Two
+// identically-seeded worlds driven through the same phase schedule must stay
+// operation-for-operation identical.
 class PolicySwitchStormTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PolicySwitchStormTest, MidStormSwitchesAreDeterministic) {
-  constexpr ck::ReplacementPolicy kPhases[] = {ck::ReplacementPolicy::kClock,
-                                               ck::ReplacementPolicy::kSecondChance,
-                                               ck::ReplacementPolicy::kFifo,
-                                               ck::ReplacementPolicy::kPerceptron};
+  enum class Phase { kClock, kGuestFifo, kPerceptron, kClearPolicy };
+  constexpr Phase kPhases[] = {Phase::kClock, Phase::kGuestFifo, Phase::kPerceptron,
+                               Phase::kClearPolicy};
   constexpr int kOpsPerPhase = 750;
+  const std::vector<uint32_t> words = GuestFifoWords();
 
   auto run_world = [&](ModelKernel& model, std::vector<uint64_t>* loads,
                        std::vector<uint64_t>* writebacks) {
@@ -323,20 +327,36 @@ TEST_P(PolicySwitchStormTest, MidStormSwitchesAreDeterministic) {
     ckbase::Rng rng(GetParam());
     StormState storm;
     int op = 0;
-    for (ck::ReplacementPolicy policy : kPhases) {
+    for (Phase phase : kPhases) {
       for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
-        ck->set_replacement_policy(static_cast<ck::ObjectType>(type), policy);
+        ck::ObjectType object_type = static_cast<ck::ObjectType>(type);
+        switch (phase) {
+          case Phase::kClock:
+            break;
+          case Phase::kGuestFifo:
+            ASSERT_EQ(api.LoadPolicy(object_type, words.data(),
+                                     static_cast<uint32_t>(words.size())),
+                      CkStatus::kOk);
+            break;
+          case Phase::kPerceptron:
+            model.table.perceptron[type].enabled = true;
+            break;
+          case Phase::kClearPolicy:
+            ASSERT_EQ(api.ClearPolicy(object_type), CkStatus::kOk);
+            break;
+        }
       }
       for (int i = 0; i < kOpsPerPhase; ++i, ++op) {
         storm.Churn(api, rng, op, &model);
         if (op % 50 == 0) {
           std::vector<std::string> violations = ck->ValidateInvariants();
-          ASSERT_TRUE(violations.empty()) << "op " << op << " under policy "
-                                          << ck::ReplacementPolicyName(policy) << ": "
-                                          << violations[0];
+          ASSERT_TRUE(violations.empty()) << "op " << op << " in phase "
+                                          << static_cast<int>(phase) << ": " << violations[0];
         }
       }
     }
+    EXPECT_GT(ck->stats().policy_vm_runs, 0u) << "the guest phase must run the policy VM";
+    EXPECT_GT(ck->stats().policy_trains, 0u) << "the perceptron phases must train";
     ExpectConservation(*ck);
     for (uint32_t type = 0; type < ck::kObjectTypeCount; ++type) {
       loads->push_back(ck->stats().loads[type]);

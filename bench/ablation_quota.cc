@@ -120,6 +120,15 @@ int main(int argc, char** argv) {
   ckbench::Note("falls toward its 20% grant and the other kernel's interactive wakeup latency");
   ckbench::Note("improves; without it, equal priorities split the processor 50/50 regardless");
   ckbench::Note("of the grant (section 4.3).");
+
+  ckbench::ShapeGate gate;
+  gate.Check("quotas OFF: the rogue takes 45-55% of the processor",
+             off.rogue_share >= 0.45 && off.rogue_share <= 0.55);
+  gate.Check("quotas OFF: no degradations", off.degradations == 0);
+  gate.Check("quotas ON: the rogue takes at most 25%", on.rogue_share <= 0.25);
+  gate.Check("quotas ON: the rogue is degraded", on.degradations >= 1);
+  gate.Check("quotas ON: interactive mean latency falls",
+             on.interactive_mean_us < off.interactive_mean_us);
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

@@ -548,6 +548,9 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void RunNative(ThreadObject* thread, cksim::Cpu& cpu);
   void ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, cksim::Cycles cycles);
   void RollQuotaWindow(cksim::Cpu& cpu);
+  // Earliest moment anything could act on idle `cpu` (docs/PERFORMANCE.md,
+  // "Idle skipping"); at or below its clock outside Machine::RunUntil.
+  cksim::Cycles IdleWakeBound(const cksim::Cpu& cpu);
   void PreemptCurrent(cksim::Cpu& cpu);
   ThreadObject* CurrentOn(cksim::Cpu& cpu) {
     return static_cast<ThreadObject*>(cpu.current_thread);

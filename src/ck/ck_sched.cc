@@ -291,6 +291,36 @@ void CacheKernel::RollQuotaWindow(cksim::Cpu& cpu) {
   }
 }
 
+Cycles CacheKernel::IdleWakeBound(const cksim::Cpu& cpu) {
+  const uint32_t self = cpu.id();
+  Cycles bound = machine_.turn_horizon();
+  if (bound <= cpu.clock()) {
+    return bound;  // raw Step(), or a device event already due
+  }
+  bound = std::min(bound, quota_window_start_[self] + config_.quota_window);
+  if (!app_events_.empty()) {
+    bound = std::min(bound, app_events_.front().at);
+  }
+  if (TierEnabled() && config_.tier_promote_period != 0) {
+    bound = std::min(bound, tier_next_scan_);
+  }
+  for (uint32_t i = 0; i < machine_.cpu_count(); ++i) {
+    const cksim::Cpu& peer = machine_.cpu(i);
+    if (i != self && (peer.current_thread != nullptr || ready_mask_[i] != 0)) {
+      // A busy peer acts at its next turn: at its clock, and a peer with a
+      // higher index only after this CPU's turn at the same clock (Machine::
+      // Step runs the lowest index on ties).
+      bound = std::min(bound, peer.clock() + (i > self ? 1 : 0));
+    } else if (!pending_signals_[i].empty()) {
+      // An idle CPU (this one included) can do nothing another CPU sees
+      // until its first pending signal lands; its turns before then only
+      // advance its own clock and roll its own quota window.
+      bound = std::min(bound, pending_signals_[i].front().due);
+    }
+  }
+  return bound;
+}
+
 void CacheKernel::ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, Cycles cycles) {
   thread->cpu_consumed += cycles;
   thread->slice_remaining = thread->slice_remaining > cycles
@@ -374,10 +404,19 @@ void CacheKernel::OnCpuTurn(cksim::Cpu& cpu) {
   if (current == nullptr) {
     current = PickNext(cpu);
     if (current == nullptr) {
-      stats_.idle_turns++;
-      // Advance an idle CPU by one idle_tick, or only up to the first pending
-      // signal's due time when that comes sooner (at least one cycle).
-      Cycles target = cpu.clock() + machine_.cost().idle_tick;
+      // Idle: no thread descriptor is loaded here (section 4.3). The CPU
+      // advances on a grid of idle_tick steps, each counted as one idle turn,
+      // and nothing can happen on it before IdleWakeBound. So take every
+      // tick before that bound in one turn (at least one tick). The clocks
+      // and idle_turns then match a schedule that takes one tick per turn,
+      // which is what a raw Machine::Step() still does. A pending signal due
+      // before the next grid point ends the advance at its due time (at
+      // least one cycle on).
+      const Cycles tick = machine_.cost().idle_tick;
+      const Cycles wake = IdleWakeBound(cpu);
+      const uint64_t ticks = wake > cpu.clock() ? (wake - cpu.clock() - 1) / tick + 1 : 1;
+      stats_.idle_turns += ticks;
+      Cycles target = cpu.clock() + ticks * tick;
       if (!pending_signals_[cpu.id()].empty()) {
         target = std::max(cpu.clock() + 1, std::min(target, pending_signals_[cpu.id()].front().due));
       }

@@ -1,5 +1,7 @@
 #include "src/sim/machine.h"
 
+#include <algorithm>
+
 namespace cksim {
 
 Machine::Machine(const MachineConfig& config) : config_(config), memory_(config.memory_bytes) {
@@ -77,11 +79,24 @@ bool Machine::Step() {
 }
 
 void Machine::RunUntil(Cycles deadline) {
+  run_deadline_ = deadline;
   while (!halted_ && Now() < deadline) {
     if (!Step()) {
-      return;
+      break;
     }
   }
+  run_deadline_ = 0;
+}
+
+Cycles Machine::turn_horizon() const {
+  Cycles horizon = run_deadline_;
+  if (horizon == 0) {
+    return 0;
+  }
+  for (const Device* device : devices_) {
+    horizon = std::min(horizon, device->NextEventAt());
+  }
+  return horizon;
 }
 
 }  // namespace cksim

@@ -103,11 +103,18 @@ class Machine {
   Cycles Now() const;
 
   // Run one turn (one CPU quantum or one device service). Returns false if
-  // there is no attached kernel.
+  // there is no attached kernel. A raw Step() has horizon 0 (see
+  // turn_horizon), so an idle CPU advances exactly one idle_tick.
   bool Step();
 
   // Run until Now() >= deadline.
   void RunUntil(Cycles deadline);
+
+  // During RunUntil, the earliest moment the machine itself can act on a CPU:
+  // the deadline (no turn at or past it runs) or the next device event
+  // (devices run before CPUs whose clock has reached the event). The kernel
+  // lets an idle CPU skip every idle tick before it. 0 outside RunUntil.
+  Cycles turn_horizon() const;
 
   // Run for `duration` cycles past the current Now().
   void RunFor(Cycles duration) { RunUntil(Now() + duration); }
@@ -153,6 +160,7 @@ class Machine {
   std::vector<Device*> devices_;
   MachineClient* client_ = nullptr;
   bool halted_ = false;
+  Cycles run_deadline_ = 0;  // RunUntil's deadline while it runs, else 0
   uint8_t node_id_ = 0;
   uint32_t span_counter_ = 0;
   uint64_t spans_allocated_ = 0;

@@ -13,7 +13,10 @@
 //   * restore on a fresh machine,
 //   * live migration end-to-end over the 266 Mb/s fiber-channel bulk path,
 //   * failover (checkpoint-to-store, restore-from-store).
+// Exits 1 when the sweep loses its shape: quiesce must be flat, and image
+// size, checkpoint, restore, migrate and failover must grow linearly.
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -167,13 +170,51 @@ int main(int argc, char** argv) {
   ckbench::Rule();
   std::printf("  %-8s %10s %10s %12s %10s %10s %10s %14s\n", "pages", "image KB", "quiesce",
               "checkpoint", "restore", "migrate", "failover", "chkpt host ns");
+  std::vector<Row> rows;
   for (uint32_t pages : {16u, 64u, 128u, 256u}) {
     Row row = Run(pages);
     std::printf("  %-8u %10.1f %10.1f %12.1f %10.1f %10.1f %10.1f %14.0f\n", row.pages,
                 row.image_bytes / 1024.0, row.quiesce_us, row.checkpoint_us, row.restore_us,
                 row.migrate_us, row.failover_us, row.checkpoint_host_ns);
+    rows.push_back(row);
   }
   ckbench::Rule();
   ckbench::Note("all simulated columns in us; host column is wall-clock ns of Checkpoint().");
-  return 0;
+
+  // Shape of the sweep (EXPERIMENTS.md X4): the cascade is a fixed cost and
+  // everything that moves page contents is linear in the working set.
+  ckbench::ShapeGate gate;
+  bool flat_quiesce = true;
+  for (const Row& row : rows) {
+    flat_quiesce = flat_quiesce && row.quiesce_us == rows[0].quiesce_us;
+  }
+  gate.Check("quiesce is the same at every working-set size", flat_quiesce);
+  struct Column {
+    const char* name;
+    double (*value)(const Row&);
+  };
+  const Column columns[] = {
+      {"image KB", [](const Row& r) { return r.image_bytes / 1024.0; }},
+      {"checkpoint", [](const Row& r) { return r.checkpoint_us; }},
+      {"restore", [](const Row& r) { return r.restore_us; }},
+      {"migrate", [](const Row& r) { return r.migrate_us; }},
+      {"failover", [](const Row& r) { return r.failover_us; }},
+  };
+  const Row& first = rows.front();
+  for (const Column& col : columns) {
+    bool increasing = true;
+    for (size_t i = 1; i < rows.size(); ++i) {
+      increasing = increasing && col.value(rows[i]) > col.value(rows[i - 1]);
+    }
+    gate.Check((std::string(col.name) + " strictly increases with pages").c_str(), increasing);
+    auto slope = [&](const Row& to) {
+      return (col.value(to) - col.value(first)) / (to.pages - first.pages);
+    };
+    double short_slope = slope(rows[1]);
+    double long_slope = slope(rows.back());
+    gate.Check((std::string(col.name) + " is linear in pages (16->64 slope within 5% of 16->256)")
+                   .c_str(),
+               std::abs(short_slope - long_slope) <= 0.05 * std::abs(long_slope));
+  }
+  return gate.exit_code();
 }

@@ -6,7 +6,8 @@
 #      suite (fastpath_test) must hold under the optimizer too, and
 #   3. an ASan+UBSan build + ctest leg — the checkpoint/restore paths move
 #      raw byte buffers across kernels and must be clean under both
-#      sanitizers, and
+#      sanitizers, including on the hostile images of the deterministic
+#      checkpoint fuzzer (ctest ckpt_fuzz_test), and
 #   4. a ThreadSanitizer build running the cluster suite — the parallel
 #      cluster driver (src/sim/cluster.h) runs machines on host worker
 #      threads, and its isolation contract (machines share nothing during a

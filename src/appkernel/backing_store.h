@@ -11,9 +11,11 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
 
+#include "src/base/bitmap.h"
 #include "src/ck/cache_kernel.h"
+#include "src/sim/physmem.h"
 #include "src/sim/types.h"
 
 namespace ckapp {
@@ -21,7 +23,7 @@ namespace ckapp {
 class BackingStore {
  public:
   explicit BackingStore(uint32_t pages, cksim::Cycles latency = 125000 /* 5 ms */)
-      : data_(static_cast<size_t>(pages) * cksim::kPageSize, 0), latency_(latency) {}
+      : data_(static_cast<size_t>(pages) * cksim::kPageSize), written_(pages), latency_(latency) {}
 
   uint32_t page_count() const {
     return static_cast<uint32_t>(data_.size() / cksim::kPageSize);
@@ -33,8 +35,7 @@ class BackingStore {
   // and schedule the resume after latency() (see the UNIX emulator pager).
   void ReadPage(ck::CkApi& api, uint32_t store_page, cksim::PhysAddr frame,
                 bool charge_latency = true) {
-    api.WritePhys(frame, data_.data() + static_cast<size_t>(store_page) * cksim::kPageSize,
-                  cksim::kPageSize);
+    api.WritePhys(frame, std::as_const(*this).PageData(store_page), cksim::kPageSize);
     if (charge_latency) {
       api.Charge(latency_);
     }
@@ -42,15 +43,19 @@ class BackingStore {
 
   void WritePage(ck::CkApi& api, cksim::PhysAddr frame, uint32_t store_page,
                  bool charge_latency = true) {
-    api.ReadPhys(frame, data_.data() + static_cast<size_t>(store_page) * cksim::kPageSize,
-                 cksim::kPageSize);
+    api.ReadPhys(frame, PageData(store_page), cksim::kPageSize);
     if (charge_latency) {
       api.Charge(latency_);
     }
   }
 
-  // Direct host-side access for program loading and test verification.
+  // Direct host-side access for program loading, restore and test
+  // verification. The mutable overload counts as a write to the page.
   uint8_t* PageData(uint32_t store_page) {
+    written_.Assign(store_page, true);
+    return data_.data() + static_cast<size_t>(store_page) * cksim::kPageSize;
+  }
+  const uint8_t* PageData(uint32_t store_page) const {
     return data_.data() + static_cast<size_t>(store_page) * cksim::kPageSize;
   }
 
@@ -58,8 +63,14 @@ class BackingStore {
     std::memcpy(PageData(store_page) + offset, src, len);
   }
 
+  // Every page that may be nonzero: a superset of the nonzero pages, since a
+  // page written and later zeroed stays in the set. Checkpoint capture walks
+  // this instead of the whole store, so its cost follows the pages written.
+  const ckbase::IterableBitmap& written_pages() const { return written_; }
+
  private:
-  std::vector<uint8_t> data_;
+  cksim::ZeroedBytes data_;
+  ckbase::IterableBitmap written_;
   cksim::Cycles latency_;
 };
 

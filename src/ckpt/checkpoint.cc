@@ -1,9 +1,11 @@
 #include "src/ckpt/checkpoint.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace ckckpt {
 
@@ -17,9 +19,18 @@ using cksim::VirtAddr;
 
 namespace {
 
+// One branch per 256-byte block: the OR over a block's 64-bit words has no
+// early exit, so the compiler vectorises it.
 bool PageIsZero(const uint8_t* data) {
-  for (uint32_t i = 0; i < kPageSize; ++i) {
-    if (data[i] != 0) {
+  constexpr uint32_t kBlockWords = 32;
+  for (uint32_t block = 0; block < kPageSize; block += kBlockWords * 8) {
+    uint64_t bits = 0;
+    for (uint32_t w = 0; w < kBlockWords; ++w) {
+      uint64_t word;
+      std::memcpy(&word, data + block + w * 8, sizeof(word));
+      bits |= word;
+    }
+    if (bits != 0) {
       return false;
     }
   }
@@ -89,7 +100,9 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
   }
 
   // Backing store: geometry, allocators, then every non-zero page (restore
-  // starts from a zeroed store, so zero pages need no record).
+  // starts from a zeroed store, so zero pages need no record). Only pages the
+  // store saw written can be non-zero; they are visited in ascending order,
+  // and one written and zeroed again is still omitted.
   {
     Writer w;
     w.U32(app.backing_.page_count());
@@ -98,16 +111,18 @@ void AppKernelState::Capture(AppKernelBase& app, ck::CkApi& api, CkptImage* imag
     w.U32(app.swap_next_);
     image->Append(RecordType::kBackingMeta, w.Take());
   }
-  for (uint32_t p = 0; p < app.backing_.page_count(); ++p) {
-    const uint8_t* data = app.backing_.PageData(p);
+  const ckapp::BackingStore& backing = app.backing_;
+  backing.written_pages().ForEach([&](uint32_t p) {
+    const uint8_t* data = backing.PageData(p);
     if (PageIsZero(data)) {
-      continue;
+      return;
     }
     Writer w;
+    w.Reserve(4 + kPageSize);
     w.U32(p);
     w.Bytes(data, kPageSize);
     image->Append(RecordType::kBackingPage, w.Take());
-  }
+  });
 
   // Spaces: every page record plus the FIFO replacement order (part of the
   // observable state -- it decides future victim choice).
@@ -251,6 +266,10 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
        << app.backing_.page_count() << ")";
     return fail(os.str());
   }
+  // Image pages allocate upward from 0 and swap pages downward from the top.
+  if (image_next > swap_next || swap_next > backing_pages) {
+    return fail("backing store allocators beyond the store");
+  }
 
   std::vector<DecodedSpace> spaces;
   std::vector<ThreadRec> threads;
@@ -349,6 +368,12 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
       if (dp.page.signal_thread != ckapp::kNoThread && dp.page.signal_thread >= threads.size()) {
         return fail("page record names a signal thread beyond the thread table");
       }
+      // Page-in and page-out index the store by this without a check.
+      bool backed = dp.page.backing_page != ckapp::kNoBackingPage;
+      if ((backed && dp.page.backing_page >= backing_pages) ||
+          (!backed && dp.page.where == PageRecord::Where::kBacking)) {
+        return fail("page record names a backing page beyond the store");
+      }
     }
   }
   for (const ThreadRec& t : threads) {
@@ -382,7 +407,7 @@ bool AppKernelState::Restore(AppKernelBase& app, ck::CkApi& api, const CkptImage
 
   // ---- apply ----
   for (auto [index, data] : backing_writes) {
-    std::memcpy(app.backing_.PageData(index), data, kPageSize);
+    app.backing_.WriteBytes(index, 0, data, kPageSize);
   }
   app.image_next_ = image_next;
   app.swap_next_ = swap_next;
@@ -576,7 +601,8 @@ std::vector<std::pair<std::string, uint64_t>> AppKernelState::Digest(AppKernelBa
       }
       if (page.backing_page != ckapp::kNoBackingPage &&
           page.backing_page < app.backing_.page_count()) {
-        add(pp + "backing_crc", Crc32(app.backing_.PageData(page.backing_page), kPageSize));
+        add(pp + "backing_crc",
+            Crc32(std::as_const(app.backing_).PageData(page.backing_page), kPageSize));
       }
     }
   }

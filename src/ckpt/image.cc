@@ -15,18 +15,18 @@ const CkptRecord* CkptImage::Find(RecordType type) const {
 
 std::vector<uint8_t> CkptImage::Serialize() const {
   Writer w;
+  w.Reserve(SizeBytes());
   w.U32(kMagic);
   w.U32(kVersion);
   w.U32(static_cast<uint32_t>(records_.size()));
   for (const CkptRecord& rec : records_) {
-    Writer frame;
-    frame.U16(static_cast<uint16_t>(rec.type));
-    frame.U16(0);  // flags, reserved
-    frame.U32(static_cast<uint32_t>(rec.payload.size()));
-    frame.Bytes(rec.payload.data(), rec.payload.size());
-    uint32_t crc = Crc32(frame.data().data(), frame.size());
-    w.Bytes(frame.data().data(), frame.size());
-    w.U32(crc);
+    // Frame straight into the output, then checksum that span in place.
+    size_t start = w.size();
+    w.U16(static_cast<uint16_t>(rec.type));
+    w.U16(0);  // flags, reserved
+    w.U32(static_cast<uint32_t>(rec.payload.size()));
+    w.Bytes(rec.payload.data(), rec.payload.size());
+    w.U32(Crc32(w.data().data() + start, w.size() - start));
   }
   return w.Take();
 }
@@ -59,27 +59,22 @@ bool CkptImage::Parse(const std::vector<uint8_t>& bytes, CkptImage* out, std::st
   bool saw_end = false;
   for (uint32_t i = 0; i < count; ++i) {
     uint16_t type = r.U16();
-    uint16_t flags = r.U16();
+    r.U16();  // flags, reserved (covered by the CRC)
     uint32_t length = r.U32();
     if (!r.ok() || r.remaining() < static_cast<size_t>(length) + 4) {
       return fail("image truncated in record " + std::to_string(i));
     }
-    CkptRecord rec;
-    rec.type = static_cast<RecordType>(type);
-    rec.payload.resize(length);
-    r.Bytes(rec.payload.data(), length);
+    // The CRC covers the 8-byte frame header and the payload exactly as they
+    // sit in the input; only a verified payload is copied out.
+    const uint8_t* payload = r.Span(length);
     uint32_t stored_crc = r.U32();
-
-    Writer frame;
-    frame.U16(type);
-    frame.U16(flags);
-    frame.U32(length);
-    frame.Bytes(rec.payload.data(), rec.payload.size());
-    uint32_t computed = Crc32(frame.data().data(), frame.size());
-    if (computed != stored_crc) {
+    if (Crc32(payload - 8, 8 + static_cast<size_t>(length)) != stored_crc) {
       return fail("CRC mismatch in record " + std::to_string(i) + " (type " +
                   std::to_string(type) + ")");
     }
+    CkptRecord rec;
+    rec.type = static_cast<RecordType>(type);
+    rec.payload.assign(payload, payload + length);
     saw_end = saw_end || rec.type == RecordType::kEnd;
     image.records_.push_back(std::move(rec));
   }

@@ -1,35 +1,54 @@
 #include "src/ckpt/serializer.h"
 
+#include <array>
+
 namespace ckckpt {
 
 namespace {
 
-struct CrcTable {
-  uint32_t entries[256];
-  CrcTable() {
+// Slice-by-8 tables: kTables[0] is the classic bytewise table; kTables[k][i]
+// is the CRC of byte i followed by k zero bytes, so eight table lookups fold
+// eight input bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (uint32_t k = 1; k < 8; ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-      }
-      entries[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     }
   }
-};
+  return t;
+}
 
-const CrcTable& Table() {
-  static const CrcTable table;
-  return table;
+constexpr CrcTables kTables = MakeTables();
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  const CrcTable& table = Table();
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = LoadLe32(p) ^ c;
+    uint32_t hi = LoadLe32(p + 4);
+    c = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^ kTables[5][(lo >> 16) & 0xffu] ^
+        kTables[4][lo >> 24] ^ kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+        kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = kTables[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

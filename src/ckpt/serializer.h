@@ -18,7 +18,9 @@
 
 namespace ckckpt {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`. `seed` chains calls.
+// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`. `seed` chains calls:
+// Crc32(b, n, Crc32(a, m)) equals the CRC of a followed by b. Slice-by-8: one
+// step folds eight input bytes through eight independent table lookups.
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
 
 // Append-only little-endian encoder.
@@ -49,6 +51,9 @@ class Writer {
     U32(static_cast<uint32_t>(s.size()));
     Bytes(s.data(), s.size());
   }
+
+  // Pre-size the buffer when the final length is known (no regrowth copies).
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& data() const { return buf_; }
@@ -95,6 +100,15 @@ class Reader {
     }
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
+  }
+  // Borrow the next n bytes in place, without copying; nullptr on overrun.
+  const uint8_t* Span(size_t n) {
+    if (!Need(n)) {
+      return nullptr;
+    }
+    const uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
   std::string Str() {
     uint32_t n = U32();

@@ -5,10 +5,17 @@
 
 namespace cksim {
 
-PhysicalMemory::PhysicalMemory(uint32_t size_bytes) {
-  // Round up to a whole number of page groups.
-  uint32_t rounded = ((size_bytes + kPageGroupBytes - 1) / kPageGroupBytes) * kPageGroupBytes;
-  bytes_.assign(rounded, 0);
+namespace {
+
+// Round up to a whole number of page groups.
+uint32_t RoundToPageGroups(uint32_t size_bytes) {
+  return ((size_bytes + kPageGroupBytes - 1) / kPageGroupBytes) * kPageGroupBytes;
+}
+
+}  // namespace
+
+PhysicalMemory::PhysicalMemory(uint32_t size_bytes) : bytes_(RoundToPageGroups(size_bytes)) {
+  uint32_t rounded = size();
   frame_gen_.assign(rounded / kPageSize, 0);
   frame_tier_.assign(rounded / kPageSize, static_cast<uint8_t>(MemTier::kNone));
   tier_count_[static_cast<uint8_t>(MemTier::kNone)] = rounded / kPageSize;
@@ -36,12 +43,12 @@ void PhysicalMemory::WriteWord(PhysAddr addr, uint32_t value) {
 
 uint8_t PhysicalMemory::ReadByte(PhysAddr addr) const {
   Check(addr, 1);
-  return bytes_[addr];
+  return bytes_.data()[addr];
 }
 
 void PhysicalMemory::WriteByte(PhysAddr addr, uint8_t value) {
   Check(addr, 1);
-  bytes_[addr] = value;
+  bytes_.data()[addr] = value;
   BumpFrameGeneration(addr);
 }
 

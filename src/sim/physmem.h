@@ -10,7 +10,9 @@
 #define SRC_SIM_PHYSMEM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -29,6 +31,31 @@ enum class MemTier : uint8_t {
   kSlow = 2,  // CXL/NVM-like: cheap capacity, expensive fills
 };
 inline constexpr uint32_t kMemTierCount = 3;
+
+// Zero-initialised host storage for a simulated memory (RAM, a backing-store
+// disk). Allocated with calloc, so the host hands out zero pages lazily on
+// first touch instead of writing the whole range up front: a machine pays
+// host memory only for the pages its workload actually uses.
+class ZeroedBytes {
+ public:
+  explicit ZeroedBytes(size_t size)
+      : data_(static_cast<uint8_t*>(std::calloc(size == 0 ? 1 : size, 1))), size_(size) {
+    if (data_ == nullptr) {
+      std::abort();
+    }
+  }
+
+  uint8_t* data() { return data_.get(); }
+  const uint8_t* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+
+ private:
+  struct Free {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t, Free> data_;
+  size_t size_;
+};
 
 class PhysicalMemory {
  public:
@@ -94,7 +121,7 @@ class PhysicalMemory {
     }
   }
 
-  std::vector<uint8_t> bytes_;
+  ZeroedBytes bytes_;
   std::vector<uint64_t> frame_gen_;
   std::vector<uint8_t> frame_tier_;        // MemTier per frame
   uint32_t tier_count_[kMemTierCount] = {};  // frames per tier; kNone counted too

@@ -367,11 +367,18 @@ CkStatus Srm::Restore(ckapp::AppKernelBase& app, const ckckpt::CkptImage& image,
     return CkStatus::kInvalidArgument;
   }
 
+  // Every failure from here on unloads the kernel object again (the launch
+  // itself can fail on its grants after loading it); the unload cascades
+  // over anything already reloaded, so nothing of `app` stays loaded.
+  auto abandon = [&](CkStatus status) {
+    SwapOut(app);
+    return status;
+  };
   Result<KernelId> launched = Launch(app, params);
   if (!launched.ok()) {
     *error = "relaunch failed";
     NotifyEvent("restore-preflight: " + *error);
-    return launched.status();
+    return abandon(launched.status());
   }
   // Each remap target names a fixed region on this machine (device registers,
   // message-channel pages). Grant the restored kernel shared access to those
@@ -386,17 +393,17 @@ CkStatus Srm::Restore(ckapp::AppKernelBase& app, const ckckpt::CkptImage& image,
     CkStatus granted = GrantSharedGroups(app, first, last - first + 1, ck::GroupAccess::kReadWrite);
     if (granted != CkStatus::kOk) {
       *error = "cannot grant restored kernel access to remapped frame region";
-      return granted;
+      return abandon(granted);
     }
   }
   // Record rebuild and thread reload run with the app's own authority: the
   // restored kernel may only touch frames it has been granted.
   CkApi app_api(ck_, app.self(), ck_.machine().cpu(0));
   if (!ckckpt::AppKernelState::Restore(app, app_api, image, options, error)) {
-    return CkStatus::kInvalidArgument;
+    return abandon(CkStatus::kInvalidArgument);
   }
   if (!ckckpt::AppKernelState::Resume(app, app_api, error)) {
-    return CkStatus::kInvalidArgument;
+    return abandon(CkStatus::kInvalidArgument);
   }
   CKLOG(kInfo) << "srm: restored kernel '" << app.name() << "'";
   return CkStatus::kOk;

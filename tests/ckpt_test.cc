@@ -9,7 +9,9 @@
 //   * cross-MPM live migration of the UNIX emulator with stable pids;
 //   * crash failover from the last stable-store image;
 //   * database kernel round-trip (app-extra state: recency list, query
-//     engine progress).
+//     engine progress);
+//   * capture's written-page walk equals a full scan of the backing store,
+//     and the serialized bytes of two rich images are pinned.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/ckpt/checkpoint.h"
 #include "src/ckpt/image.h"
 #include "src/ckpt/serializer.h"
@@ -90,6 +93,54 @@ TEST(CkptSerializer, RoundTripAllTypes) {
 TEST(CkptSerializer, CrcMatchesKnownVector) {
   // The standard CRC-32 (IEEE, reflected) check value.
   EXPECT_EQ(ckckpt::Crc32("123456789", 9), 0xcbf43926u);
+}
+
+// Bit-at-a-time CRC-32 with no tables: the reference the table-driven Crc32
+// must match for every length, alignment and seed.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t len, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(CkptSerializer, CrcMatchesBytewiseReference) {
+  constexpr size_t kMaxLen = 4100;
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  ckbase::Rng rng(0xc4c32);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    // Every start offset mod 8, so the word-wide inner loop sees every
+    // misalignment of head and tail.
+    size_t offset = len % 8;
+    const uint8_t* p = buf.data() + offset;
+    ASSERT_EQ(ckckpt::Crc32(p, len), ReferenceCrc32(p, len)) << "len " << len << " offset "
+                                                             << offset;
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{63}, size_t{4096}}) {
+      const uint8_t* p = buf.data() + offset;
+      EXPECT_EQ(ckckpt::Crc32(p, len), ReferenceCrc32(p, len)) << "len " << len << " offset "
+                                                               << offset;
+    }
+  }
+  // Chained seeds: splitting a buffer anywhere gives the one-shot CRC.
+  const uint8_t* p = buf.data() + 3;
+  uint32_t whole = ReferenceCrc32(p, 4096);
+  for (size_t split : {size_t{0}, size_t{1}, size_t{5}, size_t{8}, size_t{13}, size_t{2048},
+                       size_t{4095}, size_t{4096}}) {
+    uint32_t head = ckckpt::Crc32(p, split);
+    EXPECT_EQ(ckckpt::Crc32(p + split, 4096 - split, head), whole) << "split " << split;
+  }
+  for (uint32_t seed : {0u, 1u, 0xffffffffu, 0xdeadbeefu}) {
+    EXPECT_EQ(ckckpt::Crc32(p, 1000, seed), ReferenceCrc32(p, 1000, seed)) << "seed " << seed;
+  }
 }
 
 TEST(CkptSerializer, ReaderOverrunIsSticky) {
@@ -268,6 +319,10 @@ TEST(CkptRoundTrip, RichKernelBitExactAcrossMachines) {
 
   // Ship through the serialized form (what migration/failover moves).
   std::vector<uint8_t> bytes = image.Serialize();
+  // The image bytes are pinned: capture and framing may get faster, but the
+  // format and every captured byte stay fixed.
+  EXPECT_EQ(bytes.size(), 84204u);
+  EXPECT_EQ(ReferenceCrc32(bytes.data(), bytes.size()), 0x3305319cu);
   CkptImage shipped;
   std::string error;
   ASSERT_TRUE(CkptImage::Parse(bytes, &shipped, &error)) << error;
@@ -344,6 +399,8 @@ TEST(CkptRoundTrip, TierPlacementSurvivesRestoreAndMigrate) {
   EXPECT_GT(slow_pages_in_digest, 0u);
 
   std::vector<uint8_t> bytes = image.Serialize();
+  EXPECT_EQ(bytes.size(), 146073u);
+  EXPECT_EQ(ReferenceCrc32(bytes.data(), bytes.size()), 0x8bf562f6u);
   CkptImage shipped;
   std::string error;
   ASSERT_TRUE(CkptImage::Parse(bytes, &shipped, &error)) << error;
@@ -382,6 +439,92 @@ TEST(CkptRoundTrip, TierPlacementSurvivesRestoreAndMigrate) {
   Digest digest_c = AppKernelState::Digest(app_c, srm_api_c);
   ExpectDigestsEqual(digest_at_migrate, digest_c);
   EXPECT_TRUE(c.ck().ValidateInvariants().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Capture walks only the backing pages the store saw written. Whatever route
+// wrote them, the kBackingPage records must equal a scan of the whole store.
+// ---------------------------------------------------------------------------
+
+using BackingPages = std::vector<std::pair<uint32_t, std::vector<uint8_t>>>;
+
+BackingPages BackingPageRecords(const CkptImage& image) {
+  BackingPages out;
+  for (const ckckpt::CkptRecord& rec : image.records()) {
+    if (rec.type != RecordType::kBackingPage) {
+      continue;
+    }
+    Reader r(rec.payload);
+    uint32_t index = r.U32();
+    out.emplace_back(index, std::vector<uint8_t>(rec.payload.begin() + 4, rec.payload.end()));
+  }
+  return out;
+}
+
+// Every non-zero page of the store, ascending: what capture emits.
+BackingPages FullScan(const ckapp::BackingStore& store) {
+  BackingPages out;
+  for (uint32_t p = 0; p < store.page_count(); ++p) {
+    const uint8_t* data = store.PageData(p);
+    std::vector<uint8_t> page(data, data + cksim::kPageSize);
+    for (uint8_t b : page) {
+      if (b != 0) {
+        out.emplace_back(p, std::move(page));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CkptBacking, CaptureMatchesFullScanOverEveryWriteRoute) {
+  TestWorld a;
+  ckapp::AppKernelBase app_a("backing", 64);
+  a.Launch(app_a, /*page_groups=*/1);
+  ck::CkApi api_a(a.ck(), app_a.self(), a.machine().cpu(0));
+  uint32_t sp = app_a.CreateSpace(api_a);
+  ckapp::BackingStore& store = app_a.backing();
+  EXPECT_TRUE(store.written_pages().empty());
+
+  // WriteBytes.
+  const uint32_t marker = 0x5eed0001;
+  store.WriteBytes(3, 100, &marker, sizeof(marker));
+  store.WriteBytes(40, 0, &marker, sizeof(marker));
+  // A pageout (WritePage): dirty a zero-fill page, then evict it to swap.
+  app_a.DefineZeroRegion(sp, 0x40000000, 2, /*writable=*/true);
+  const uint32_t value = 0xd1d1d1d1;
+  ASSERT_TRUE(app_a.WriteGuest(api_a, sp, 0x40000000, &value, sizeof(value)));
+  app_a.EvictPage(api_a, sp, 0x40000000);
+  uint32_t swap_page = app_a.space(sp).FindPage(0x40000000)->backing_page;
+  ASSERT_NE(swap_page, ckapp::kNoBackingPage);
+  // The mutable PageData.
+  store.PageData(17)[cksim::kPageSize - 1] = 0x77;
+  // Written, then zeroed again: still in the written set, but omitted.
+  const uint32_t zero = 0;
+  store.WriteBytes(40, 0, &zero, sizeof(zero));
+  EXPECT_TRUE(store.written_pages().Test(40));
+  EXPECT_EQ(store.written_pages().count(), 4u);
+
+  CkptImage image;
+  ASSERT_EQ(a.srm().Checkpoint(app_a, &image), CkStatus::kOk);
+  BackingPages captured = BackingPageRecords(image);
+  EXPECT_EQ(captured, FullScan(store));
+  ASSERT_EQ(captured.size(), 3u);
+  EXPECT_EQ(captured[0].first, 3u);
+  EXPECT_EQ(captured[1].first, 17u);
+  EXPECT_EQ(captured[2].first, swap_page);
+
+  // A restore writes the captured pages into the target's store; capturing
+  // the target sees exactly those pages again.
+  TestWorld b;
+  ckapp::AppKernelBase app_b("backing", 64);
+  std::string error;
+  ASSERT_EQ(b.srm().Restore(app_b, image, RestoreOptions{}, &error), CkStatus::kOk) << error;
+  EXPECT_EQ(app_b.backing().written_pages().count(), 3u);
+  CkptImage again;
+  ASSERT_EQ(b.srm().Checkpoint(app_b, &again), CkStatus::kOk);
+  EXPECT_EQ(BackingPageRecords(again), FullScan(app_b.backing()));
+  EXPECT_EQ(BackingPageRecords(again), captured);
 }
 
 // ---------------------------------------------------------------------------

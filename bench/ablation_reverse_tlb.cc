@@ -86,6 +86,12 @@ int main(int argc, char** argv) {
               without.us_per_signal / with.us_per_signal);
   ckbench::Note("shape check: with the reverse-TLB only the first delivery takes the two-stage");
   ckbench::Note("lookup; disabled, every delivery does (section 4.1's design rationale).");
+  ckbench::ShapeGate gate;
+  gate.Check("enabled: every delivery after the first takes the fast path",
+             with.fast == kSignals - 1 && with.slow == 1);
+  gate.Check("disabled: no delivery takes the fast path", without.fast == 0);
+  gate.Check("reverse-TLB speedup at least 1.3x",
+             without.us_per_signal >= 1.3 * with.us_per_signal);
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

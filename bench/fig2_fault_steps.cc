@@ -112,6 +112,16 @@ int main(int argc, char** argv) {
   ckbench::Note("\nshape checks: steps 3-4 (application-kernel policy + combined load call)");
   ckbench::Note("dominate; steps 1-2 are the fixed hardware/redirect cost the paper prices at");
   ckbench::Note("32 us; step 5 is folded into 4 by the optimized call, leaving resume cheap.");
+  // Gated on p95: the mean carries one warm-up outlier, the program text's
+  // page-in from the backing store.
+  ckbench::ShapeGate gate;
+  gate.Check("steps 3-4 cost more than steps 1-2 (p95)",
+             steps.handle_load.Percentile(95) > steps.transfer.Percentile(95));
+  gate.Check("steps 1-2 cost more than steps 5-6 (p95)",
+             steps.transfer.Percentile(95) > steps.resume.Percentile(95));
+  gate.Check("total p95 within 3x of the paper's 99 us",
+             steps.total.Percentile(95) >= 99.0 / 3 && steps.total.Percentile(95) <= 99.0 * 3);
+  gate.Check("faults recorded after warm-up", steps.total.count() > warm_total.count());
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "src/ck/cache_kernel.h"
 #include "src/isa/interpreter.h"
@@ -47,18 +48,84 @@ struct PageRecord {
 };
 
 struct VSpace {
+  VSpace() = default;
+  // The page index points into `pages`; a copy would point into the original.
+  VSpace(const VSpace&) = delete;
+  VSpace& operator=(const VSpace&) = delete;
+
   uint64_t cookie = 0;  // == index in the owning kernel's space table
   ck::SpaceId ck_id;    // current identifier; stale after writeback
   bool loaded = false;
   bool locked = false;
 
-  std::map<cksim::VirtAddr, PageRecord> pages;  // keyed by page-aligned vaddr
-  std::deque<cksim::VirtAddr> resident_fifo;    // default replacement order
+  // Keyed by page-aligned vaddr. Records are added (here or by assignment)
+  // but never erased: FindPage's index holds pointers to them.
+  std::map<cksim::VirtAddr, PageRecord> pages;
+  std::deque<cksim::VirtAddr> resident_fifo;  // default replacement order
 
+  // The record for the page holding `vaddr`, or nullptr. Every descriptor
+  // miss looks its page up twice (fault and writeback), so this goes through
+  // an open-addressed hash index of the records looked up so far; a record
+  // is indexed on its first lookup, however it entered `pages`.
   PageRecord* FindPage(cksim::VirtAddr vaddr) {
-    auto it = pages.find(vaddr & ~static_cast<cksim::VirtAddr>(cksim::kPageOffsetMask));
-    return it == pages.end() ? nullptr : &it->second;
+    cksim::VirtAddr key = vaddr & ~static_cast<cksim::VirtAddr>(cksim::kPageOffsetMask);
+    if (!index_.empty()) {
+      uint32_t mask = static_cast<uint32_t>(index_.size()) - 1;
+      for (uint32_t i = IndexHome(key);; i = (i + 1) & mask) {
+        const IndexSlot& slot = index_[i];
+        if (slot.record == nullptr) {
+          break;
+        }
+        if (slot.vaddr == key) {
+          return slot.record;
+        }
+      }
+    }
+    auto it = pages.find(key);
+    if (it == pages.end()) {
+      return nullptr;
+    }
+    if ((indexed_ + 1) * 2 > index_.size()) {
+      GrowIndex();
+    }
+    IndexPlace(IndexSlot{key, &it->second});
+    ++indexed_;
+    return &it->second;
   }
+
+ private:
+  struct IndexSlot {
+    cksim::VirtAddr vaddr = 0;
+    PageRecord* record = nullptr;  // nullptr: empty slot
+  };
+
+  uint32_t IndexHome(cksim::VirtAddr key) const {
+    return ((key >> cksim::kPageShift) * 0x9e3779b1u) >> index_shift_;
+  }
+  void IndexPlace(const IndexSlot& entry) {
+    uint32_t mask = static_cast<uint32_t>(index_.size()) - 1;
+    uint32_t i = IndexHome(entry.vaddr);
+    while (index_[i].record != nullptr) {
+      i = (i + 1) & mask;
+    }
+    index_[i] = entry;
+  }
+  // Double the index (16 slots at first), keeping it at most half full.
+  void GrowIndex() {
+    std::vector<IndexSlot> old = std::move(index_);
+    uint32_t bits = old.empty() ? 4 : 32 - index_shift_ + 1;
+    index_.assign(size_t{1} << bits, IndexSlot{});
+    index_shift_ = 32 - bits;
+    for (const IndexSlot& entry : old) {
+      if (entry.record != nullptr) {
+        IndexPlace(entry);
+      }
+    }
+  }
+
+  std::vector<IndexSlot> index_;  // power-of-two size, linear probing
+  uint32_t index_shift_ = 32;
+  size_t indexed_ = 0;
 };
 
 struct ThreadRec {

@@ -21,35 +21,9 @@ PhysicalMemory::PhysicalMemory(uint32_t size_bytes) : bytes_(RoundToPageGroups(s
   tier_count_[static_cast<uint8_t>(MemTier::kNone)] = rounded / kPageSize;
 }
 
-void PhysicalMemory::Check(PhysAddr addr, uint32_t len) const {
-  if (!Contains(addr, len)) {
-    std::fprintf(stderr, "physmem: access [%#x, +%u) outside %#x bytes\n", addr, len, size());
-    std::abort();
-  }
-}
-
-uint32_t PhysicalMemory::ReadWord(PhysAddr addr) const {
-  Check(addr, 4);
-  uint32_t value;
-  std::memcpy(&value, bytes_.data() + addr, 4);
-  return value;
-}
-
-void PhysicalMemory::WriteWord(PhysAddr addr, uint32_t value) {
-  Check(addr, 4);
-  std::memcpy(bytes_.data() + addr, &value, 4);
-  BumpFrameGeneration(addr);
-}
-
-uint8_t PhysicalMemory::ReadByte(PhysAddr addr) const {
-  Check(addr, 1);
-  return bytes_.data()[addr];
-}
-
-void PhysicalMemory::WriteByte(PhysAddr addr, uint8_t value) {
-  Check(addr, 1);
-  bytes_.data()[addr] = value;
-  BumpFrameGeneration(addr);
+void PhysicalMemory::OutOfRange(PhysAddr addr, uint32_t len) const {
+  std::fprintf(stderr, "physmem: access [%#x, +%u) outside %#x bytes\n", addr, len, size());
+  std::abort();
 }
 
 void PhysicalMemory::Read(PhysAddr addr, void* out, uint32_t len) const {

@@ -75,11 +75,27 @@ class PhysicalMemory {
   // indicate a kernel bug and abort the simulation (a real 68040 would raise
   // a bus error inside the supervisor, which the paper's kernel treats as
   // fatal to the MPM).
-  uint32_t ReadWord(PhysAddr addr) const;
-  void WriteWord(PhysAddr addr, uint32_t value);
+  uint32_t ReadWord(PhysAddr addr) const {
+    Check(addr, 4);
+    uint32_t value;
+    std::memcpy(&value, bytes_.data() + addr, 4);
+    return value;
+  }
+  void WriteWord(PhysAddr addr, uint32_t value) {
+    Check(addr, 4);
+    std::memcpy(bytes_.data() + addr, &value, 4);
+    BumpFrameGeneration(addr);
+  }
 
-  uint8_t ReadByte(PhysAddr addr) const;
-  void WriteByte(PhysAddr addr, uint8_t value);
+  uint8_t ReadByte(PhysAddr addr) const {
+    Check(addr, 1);
+    return bytes_.data()[addr];
+  }
+  void WriteByte(PhysAddr addr, uint8_t value) {
+    Check(addr, 1);
+    bytes_.data()[addr] = value;
+    BumpFrameGeneration(addr);
+  }
 
   // Bulk copies for devices, loaders and page zero/copy operations.
   void Read(PhysAddr addr, void* out, uint32_t len) const;
@@ -111,7 +127,14 @@ class PhysicalMemory {
   uint32_t tier_count(MemTier tier) const { return tier_count_[static_cast<uint8_t>(tier)]; }
 
  private:
-  void Check(PhysAddr addr, uint32_t len) const;
+  // The word and byte accessors are inline, so the bounds check is too; the
+  // report-and-abort stays out of line.
+  void Check(PhysAddr addr, uint32_t len) const {
+    if (!Contains(addr, len)) [[unlikely]] {
+      OutOfRange(addr, len);
+    }
+  }
+  [[noreturn]] void OutOfRange(PhysAddr addr, uint32_t len) const;
   void BumpFrameGenerationRange(PhysAddr addr, uint32_t len) {
     if (len == 0) {
       return;

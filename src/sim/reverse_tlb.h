@@ -13,7 +13,10 @@
 #ifndef SRC_SIM_REVERSE_TLB_H_
 #define SRC_SIM_REVERSE_TLB_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -22,7 +25,13 @@ namespace cksim {
 
 class ReverseTlb {
  public:
-  explicit ReverseTlb(uint32_t entries = 32) : entries_(entries) {}
+  // `entries` must be a power of two; any other size aborts.
+  explicit ReverseTlb(uint32_t entries = 32) : entries_(entries), mask_(entries - 1) {
+    if (!std::has_single_bit(entries)) {
+      std::fprintf(stderr, "reverse tlb: %u entries is not a power of two\n", entries);
+      std::abort();
+    }
+  }
 
   struct Entry {
     bool valid = false;
@@ -36,7 +45,7 @@ class ReverseTlb {
 
   // Fast path lookup by physical frame.
   const Entry* Lookup(uint32_t pframe) const {
-    const Entry& e = entries_[pframe % entries_.size()];
+    const Entry& e = entries_[pframe & mask_];
     if (e.valid && e.pframe == pframe) {
       ++hits_;
       return &e;
@@ -45,10 +54,10 @@ class ReverseTlb {
     return nullptr;
   }
 
-  void Insert(const Entry& entry) { entries_[entry.pframe % entries_.size()] = entry; }
+  void Insert(const Entry& entry) { entries_[entry.pframe & mask_] = entry; }
 
   void InvalidateFrame(uint32_t pframe) {
-    Entry& e = entries_[pframe % entries_.size()];
+    Entry& e = entries_[pframe & mask_];
     if (e.valid && e.pframe == pframe) {
       e.valid = false;
     }
@@ -73,6 +82,7 @@ class ReverseTlb {
 
  private:
   std::vector<Entry> entries_;
+  uint32_t mask_;  // entries - 1
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
 };

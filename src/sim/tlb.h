@@ -32,7 +32,8 @@ struct TlbEntry {
 class Tlb {
  public:
   // 64 entries, 4-way set associative by default (roughly 68040-class: the
-  // real part had a 64-entry ATC).
+  // real part had a 64-entry ATC). The set count (entries / ways) must be a
+  // power of two; any other geometry aborts.
   explicit Tlb(uint32_t entries = 64, uint32_t ways = 4);
 
   struct LookupResult {
@@ -41,13 +42,55 @@ class Tlb {
     uint8_t flags = 0;
   };
 
-  LookupResult Lookup(uint16_t asid, uint32_t vpage);
-  void Insert(uint16_t asid, uint32_t vpage, uint32_t pframe, uint8_t flags);
+  // Lookup, Insert, Probe and FlushPage run on every guest access and every
+  // descriptor unload, so they are defined inline below.
+  LookupResult Lookup(uint16_t asid, uint32_t vpage) {
+    uint32_t base = SetOf(asid, vpage);
+    for (uint32_t w = 0; w < ways_; ++w) {
+      TlbEntry& e = entries_[base + w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        e.lru = ++tick_;
+        ++hits_;
+        return LookupResult{true, e.pframe, e.flags};
+      }
+    }
+    ++misses_;
+    return LookupResult{};
+  }
+
+  void Insert(uint16_t asid, uint32_t vpage, uint32_t pframe, uint8_t flags) {
+    uint32_t base = SetOf(asid, vpage);
+    // Reuse an existing entry for this page if present, else the LRU way.
+    TlbEntry* victim = &entries_[base];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      TlbEntry& e = entries_[base + w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        victim = &e;
+        break;
+      }
+      if (!e.valid) {
+        victim = &e;
+        break;
+      }
+      if (e.lru < victim->lru) {
+        victim = &e;
+      }
+    }
+    *victim = TlbEntry{true, asid, vpage, pframe, flags, ++tick_};
+  }
 
   // Invalidate a single page of a space, every entry of a space, entries
   // mapping a physical frame (for frame reclamation and multi-mapping
   // consistency), or everything.
-  void FlushPage(uint16_t asid, uint32_t vpage);
+  void FlushPage(uint16_t asid, uint32_t vpage) {
+    uint32_t base = SetOf(asid, vpage);
+    for (uint32_t w = 0; w < ways_; ++w) {
+      TlbEntry& e = entries_[base + w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        e.valid = false;
+      }
+    }
+  }
   void FlushAsid(uint16_t asid);
   void FlushFrame(uint32_t pframe);
   void FlushAll();
@@ -64,7 +107,16 @@ class Tlb {
   //
   // Index of the resident entry for (asid, vpage), or -1. Unlike Lookup this
   // has no side effects on the LRU clock or the hit/miss counters.
-  int32_t Probe(uint16_t asid, uint32_t vpage) const;
+  int32_t Probe(uint16_t asid, uint32_t vpage) const {
+    uint32_t base = SetOf(asid, vpage);
+    for (uint32_t w = 0; w < ways_; ++w) {
+      const TlbEntry& e = entries_[base + w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        return static_cast<int32_t>(base + w);
+      }
+    }
+    return -1;
+  }
   const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
   // Bookkeeping for an access served by the micro-TLB: exactly what a
   // Lookup hit does, so fast-path and slow-path runs age entries (and count
@@ -94,10 +146,15 @@ class Tlb {
   uint64_t tick() const { return tick_; }
 
  private:
-  uint32_t SetOf(uint16_t asid, uint32_t vpage) const;
+  // First entry of the set for (asid, vpage).
+  uint32_t SetOf(uint16_t asid, uint32_t vpage) const {
+    // Mix asid and page so different spaces do not collide on the same sets.
+    uint32_t h = vpage ^ (static_cast<uint32_t>(asid) * 0x9e3779b1u);
+    return (h & set_mask_) * ways_;
+  }
 
   std::vector<TlbEntry> entries_;
-  uint32_t sets_;
+  uint32_t set_mask_ = 0;  // set count - 1
   uint32_t ways_;
   uint64_t tick_ = 0;
   uint64_t hits_ = 0;

@@ -369,9 +369,24 @@ CkStatus Srm::Restore(ckapp::AppKernelBase& app, const ckckpt::CkptImage& image,
 
   // Every failure from here on unloads the kernel object again (the launch
   // itself can fail on its grants after loading it); the unload cascades
-  // over anything already reloaded, so nothing of `app` stays loaded.
+  // over anything already reloaded, so nothing of `app` stays loaded. The
+  // registration this launch made is then retired: its page groups return
+  // to the free pool and it no longer names `app`. It keeps its index,
+  // because registry indices are LoadKernel cookies.
+  size_t registration = registry_.size();
   auto abandon = [&](CkStatus status) {
-    SwapOut(app);
+    if (registration < registry_.size()) {
+      Registered& reg = *registry_[registration];
+      SwapOut(app);
+      for (int32_t& owner : group_owner_) {
+        if (owner == static_cast<int32_t>(registration)) {
+          owner = -1;
+        }
+      }
+      reg.app = nullptr;
+      reg.owned_groups.clear();
+      reg.shared_groups.clear();
+    }
     return status;
   };
   Result<KernelId> launched = Launch(app, params);
@@ -490,7 +505,7 @@ CkStatus Srm::RestoreFromStore(ckapp::AppKernelBase& app, const cksim::StableSto
 
 void Srm::OnKernelWriteback(const ck::KernelWriteback& record, CkApi& api) {
   (void)api;
-  if (record.cookie < registry_.size()) {
+  if (record.cookie < registry_.size() && registry_[record.cookie]->app != nullptr) {
     registry_[record.cookie]->loaded = false;
     CKLOG(kInfo) << "srm: kernel '" << registry_[record.cookie]->app->name()
                  << "' written back (swapped out)";

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/appkernel/vspace.h"
+#include "src/base/rng.h"
 #include "src/db/db_kernel.h"
 #include "src/mp3d/mp3d_kernel.h"
 #include "src/rt/rt_kernel.h"
@@ -11,6 +13,42 @@
 namespace {
 
 using cktest::TestWorld;
+
+// FindPage answers through a hash index over VSpace::pages. Records reach
+// the map by plain assignment (the region helpers and the checkpoint restore
+// path both do `pages[vaddr] = page`), so interleave such inserts, including
+// overwrites of existing pages, with lookups across several index resizes,
+// and require the same record as a search of the map.
+TEST(VSpaceTest, FindPageMatchesMapAcrossInserts) {
+  ckapp::VSpace sp;
+  ckbase::Rng rng(17);
+  // Three regions far apart plus the top of the address space.
+  const cksim::VirtAddr kBases[] = {0x0, 0x40000000, 0x70000000, 0xfff00000};
+  auto random_vaddr = [&] {
+    return kBases[rng.Below(4)] + static_cast<cksim::VirtAddr>(rng.Below(160)) * cksim::kPageSize +
+           static_cast<cksim::VirtAddr>(rng.Below(cksim::kPageSize));
+  };
+  for (uint32_t op = 0; op < 6000; ++op) {
+    cksim::VirtAddr vaddr = random_vaddr();
+    cksim::VirtAddr page_vaddr = vaddr & ~static_cast<cksim::VirtAddr>(cksim::kPageOffsetMask);
+    if (rng.Chance(1, 4)) {
+      ckapp::PageRecord page;
+      page.backing_page = op;
+      sp.pages[page_vaddr] = page;
+    }
+    auto it = sp.pages.find(page_vaddr);
+    ckapp::PageRecord* expected = it == sp.pages.end() ? nullptr : &it->second;
+    ckapp::PageRecord* found = sp.FindPage(vaddr);
+    ASSERT_EQ(found, expected) << "op " << op << " vaddr " << std::hex << vaddr;
+    if (found != nullptr) {
+      EXPECT_EQ(found->backing_page, expected->backing_page);
+    }
+  }
+  EXPECT_GT(sp.pages.size(), 400u);
+  for (auto& [page_vaddr, page] : sp.pages) {
+    ASSERT_EQ(sp.FindPage(page_vaddr + cksim::kPageSize - 1), &page);
+  }
+}
 
 TEST(Mp3dTest, SimulationConservesParticles) {
   TestWorld world;

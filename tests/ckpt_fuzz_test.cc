@@ -382,6 +382,44 @@ TEST_F(CkptFuzz, RegressionSeeds) {
   }
 }
 
+// A rejected restore retires the registration its relaunch made: repeated
+// rejections on one SRM leak no page groups, leave nothing loaded, and no
+// stale entry answers for a later kernel at the same address.
+TEST_F(CkptFuzz, RejectedRestoresReturnTheirGrants) {
+  CkptImage base;
+  std::string error;
+  ASSERT_TRUE(CkptImage::Parse(*base_, &base, &error)) << error;
+  CkptImage broken;
+  for (const CkptRecord& rec : base.records()) {
+    if (rec.type != RecordType::kBackingMeta) {
+      broken.Append(rec.type, rec.payload);
+    }
+  }
+
+  TestWorld b;
+  EXPECT_TRUE(b.srm().ReserveGroups(1).ok());
+  cksim::PhysAddr fixed = b.srm().ReserveGroups(1).value() * cksim::kPageGroupBytes;
+  RestoreOptions options;
+  options.frame_remaps.push_back(FrameRemap{channel_, fixed, 2});
+  uint32_t free_before = b.srm().free_groups();
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    ckapp::AppKernelBase app("fuzz", 64);
+    EXPECT_NE(b.srm().Restore(app, broken, options, &error), CkStatus::kOk);
+    EXPECT_EQ(b.srm().free_groups(), free_before) << "attempt " << attempt;
+    EXPECT_FALSE(b.srm().IsSwappedOut(app)) << "attempt " << attempt << ": entry left behind";
+    std::array<uint32_t, ck::kObjectTypeCount> loaded = b.ck().LoadedCountsFor(app.self());
+    for (uint32_t t = 0; t < ck::kObjectTypeCount; ++t) {
+      EXPECT_EQ(loaded[t], 0u) << "attempt " << attempt << ", object type " << t;
+    }
+    EXPECT_TRUE(b.ck().ValidateInvariants().empty());
+  }
+
+  ckapp::AppKernelBase app("fuzz", 64);
+  ASSERT_EQ(b.srm().Restore(app, base, options, &error), CkStatus::kOk) << error;
+  EXPECT_LT(b.srm().free_groups(), free_before);
+  EXPECT_TRUE(b.ck().ValidateInvariants().empty());
+}
+
 TEST_F(CkptFuzz, SweepRejectsOrRestoresCleanly) {
   uint32_t parsed = 0;
   uint32_t restored = 0;

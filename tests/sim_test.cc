@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/sim/cost.h"
 #include "src/sim/devices.h"
 #include "src/sim/machine.h"
@@ -129,6 +133,188 @@ TEST(TlbTest, LruTickSurvives32BitWrap) {
   EXPECT_TRUE(tlb.Lookup(1, 12).hit) << "post-wrap entry evicted as false LRU";
   EXPECT_TRUE(tlb.Lookup(1, 13).hit);
   EXPECT_TRUE(tlb.Lookup(1, 14).hit);
+}
+
+// Brute-force reference for Tlb: the same geometry, set selection by
+// modulo, and replacement written as "first matching or free way, else the
+// first least-recently-used way".
+class ReferenceTlb {
+ public:
+  ReferenceTlb(uint32_t entries, uint32_t ways)
+      : entries_(entries), sets_(entries / ways), ways_(ways) {}
+
+  bool Lookup(uint16_t asid, uint32_t vpage) {
+    int32_t i = Probe(asid, vpage);
+    if (i < 0) {
+      ++misses_;
+      return false;
+    }
+    entries_[i].lru = ++tick_;
+    ++hits_;
+    return true;
+  }
+  int32_t Probe(uint16_t asid, uint32_t vpage) const {
+    for (uint32_t w = 0; w < ways_; ++w) {
+      const TlbEntry& e = entries_[First(asid, vpage) + w];
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        return static_cast<int32_t>(First(asid, vpage) + w);
+      }
+    }
+    return -1;
+  }
+  void Insert(uint16_t asid, uint32_t vpage, uint32_t pframe, uint8_t flags) {
+    uint32_t first = First(asid, vpage);
+    uint32_t chosen = first + ways_;
+    for (uint32_t w = 0; w < ways_ && chosen == first + ways_; ++w) {
+      const TlbEntry& e = entries_[first + w];
+      if (!e.valid || (e.asid == asid && e.vpage == vpage)) {
+        chosen = first + w;
+      }
+    }
+    if (chosen == first + ways_) {
+      chosen = first;
+      for (uint32_t w = 1; w < ways_; ++w) {
+        if (entries_[first + w].lru < entries_[chosen].lru) {
+          chosen = first + w;
+        }
+      }
+    }
+    entries_[chosen] = TlbEntry{true, asid, vpage, pframe, flags, ++tick_};
+  }
+  void FlushPage(uint16_t asid, uint32_t vpage) {
+    for (TlbEntry& e : entries_) {
+      if (e.valid && e.asid == asid && e.vpage == vpage) {
+        e.valid = false;
+      }
+    }
+  }
+  void FlushAsid(uint16_t asid) {
+    for (TlbEntry& e : entries_) {
+      e.valid = e.valid && e.asid != asid;
+    }
+  }
+  void FlushFrame(uint32_t pframe) {
+    for (TlbEntry& e : entries_) {
+      e.valid = e.valid && e.pframe != pframe;
+    }
+  }
+  void FlushAll() {
+    for (TlbEntry& e : entries_) {
+      e.valid = false;
+    }
+  }
+  void TouchFastHit(uint32_t index) {
+    entries_[index].lru = ++tick_;
+    ++hits_;
+  }
+
+  const std::vector<TlbEntry>& entries() const { return entries_; }
+  uint64_t tick() const { return tick_; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  uint32_t First(uint16_t asid, uint32_t vpage) const {
+    return ((vpage ^ (static_cast<uint32_t>(asid) * 0x9e3779b1u)) % sets_) * ways_;
+  }
+
+  std::vector<TlbEntry> entries_;
+  uint32_t sets_;
+  uint32_t ways_;
+  uint64_t tick_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+// Seeded random operation sequences against the reference, compared after
+// every operation: counters, the LRU clock, and every entry (so the victim
+// each Insert chose is checked too).
+TEST(TlbTest, MatchesReferenceModel) {
+  const std::pair<uint32_t, uint32_t> kGeometries[] = {{64, 4}, {8, 2}, {4, 4}, {16, 1}, {32, 8}};
+  for (auto [entries, ways] : kGeometries) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Tlb tlb(entries, ways);
+      ReferenceTlb ref(entries, ways);
+      ckbase::Rng rng(seed * 1000 + entries * 10 + ways);
+      for (uint32_t op = 0; op < 4000; ++op) {
+        uint16_t asid = static_cast<uint16_t>(rng.Below(4));
+        // Mostly a small page range (hits and set conflicts), sometimes any.
+        uint32_t vpage = rng.Chance(1, 16) ? static_cast<uint32_t>(rng.Next())
+                                           : static_cast<uint32_t>(rng.Below(48));
+        uint32_t pframe = static_cast<uint32_t>(rng.Below(32));
+        switch (rng.Below(16)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+          case 4:
+            EXPECT_EQ(tlb.Lookup(asid, vpage).hit, ref.Lookup(asid, vpage));
+            break;
+          case 5:
+          case 6:
+          case 7:
+          case 8: {
+            uint8_t flags = static_cast<uint8_t>(rng.Below(256));
+            tlb.Insert(asid, vpage, pframe, flags);
+            ref.Insert(asid, vpage, pframe, flags);
+            break;
+          }
+          case 9:
+          case 10:
+            tlb.FlushPage(asid, vpage);
+            ref.FlushPage(asid, vpage);
+            break;
+          case 11:
+            tlb.FlushFrame(pframe);
+            ref.FlushFrame(pframe);
+            break;
+          case 12:
+            if (rng.Chance(1, 8)) {
+              tlb.FlushAsid(asid);
+              ref.FlushAsid(asid);
+            }
+            break;
+          case 13:
+            if (rng.Chance(1, 32)) {
+              tlb.FlushAll();
+              ref.FlushAll();
+            }
+            break;
+          default: {
+            int32_t index = tlb.Probe(asid, vpage);
+            ASSERT_EQ(index, ref.Probe(asid, vpage));
+            if (index >= 0) {
+              tlb.TouchFastHit(static_cast<uint32_t>(index));
+              ref.TouchFastHit(static_cast<uint32_t>(index));
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(tlb.hits(), ref.hits());
+        ASSERT_EQ(tlb.misses(), ref.misses());
+        ASSERT_EQ(tlb.tick(), ref.tick());
+        for (uint32_t i = 0; i < entries; ++i) {
+          const TlbEntry& a = tlb.EntryAt(i);
+          const TlbEntry& b = ref.entries()[i];
+          ASSERT_TRUE(a.valid == b.valid && a.asid == b.asid && a.vpage == b.vpage &&
+                      a.pframe == b.pframe && a.flags == b.flags && a.lru == b.lru)
+              << entries << "/" << ways << " seed " << seed << " op " << op << " entry " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(TlbDeathTest, RejectsSetCountNotAPowerOfTwo) {
+  EXPECT_DEATH(Tlb(48, 4), "power-of-two");  // 12 sets
+  EXPECT_DEATH(Tlb(64, 3), "power-of-two");  // ways do not divide entries
+  EXPECT_DEATH(Tlb(0, 4), "power-of-two");
+  EXPECT_DEATH(Tlb(64, 0), "power-of-two");
+}
+
+TEST(ReverseTlbDeathTest, RejectsSizeNotAPowerOfTwo) {
+  EXPECT_DEATH(ReverseTlb(24), "power of two");
+  EXPECT_DEATH(ReverseTlb(0), "power of two");
 }
 
 class MmuTest : public ::testing::Test {

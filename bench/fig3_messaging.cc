@@ -93,11 +93,14 @@ int main(int argc, char** argv) {
   std::printf("%10s %16s %18s %10s %10s\n", "receivers", "sender us/msg", "fan-out us (last)",
               "rTLB fast", "slow");
   ckbench::Rule();
+  constexpr uint32_t kMessages = 20;
+  std::vector<SweepPoint> points;
   for (uint32_t receivers : {1u, 2u, 3u, 4u, 6u, 8u}) {
-    SweepPoint point = RunFanOut(receivers, 20);
+    SweepPoint point = RunFanOut(receivers, kMessages);
     std::printf("%10u %16.1f %18.1f %10llu %10llu\n", point.receivers, point.sender_us,
                 point.fanout_us, static_cast<unsigned long long>(point.fast),
                 static_cast<unsigned long long>(point.slow));
+    points.push_back(point);
   }
   ckbench::Rule();
   ckbench::Note("shape checks: sender cost grows mildly with registrations (one pmap walk, one");
@@ -105,6 +108,32 @@ int main(int argc, char** argv) {
   ckbench::Note("message already lives in the shared physical page -- 'communication");
   ckbench::Note("performance is limited primarily by the raw performance of the memory");
   ckbench::Note("system' (section 2.2).");
+  ckbench::ShapeGate gate;
+  bool sender_rises = true, fanout_rises = true, one_per_cpu_fast = true, saturated_slow = true;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const SweepPoint& p = points[i];
+    if (i > 0) {
+      sender_rises = sender_rises && p.sender_us > points[i - 1].sender_us;
+      fanout_rises = fanout_rises && p.fanout_us >= points[i - 1].fanout_us;
+    }
+    // Receivers spread over CPUs 1-3: up to three, each CPU's reverse-TLB
+    // keeps its one receiver, so only each receiver's first delivery is slow.
+    if (p.receivers <= 3) {
+      one_per_cpu_fast = one_per_cpu_fast && p.slow == p.receivers &&
+                         p.fast == (kMessages - 1) * p.receivers && p.fast > p.slow;
+    } else {
+      saturated_slow = saturated_slow && p.slow > p.receivers;
+    }
+  }
+  gate.Check("sender cost per message rises with the number of receivers", sender_rises);
+  gate.Check("sender cost grows mildly: 8 receivers cost under 3x one",
+             points.back().sender_us < 3 * points.front().sender_us);
+  gate.Check("fan-out latency to the last receiver never falls as receivers grow",
+             fanout_rises);
+  gate.Check("one receiver per CPU: fast deliveries outnumber slow, one slow each",
+             one_per_cpu_fast);
+  gate.Check("two or more receivers per CPU: reverse-TLB conflicts add slow deliveries",
+             saturated_slow);
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

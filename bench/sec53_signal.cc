@@ -10,6 +10,8 @@
 // real signal function. The reverse-TLB fast path and the slow two-stage
 // lookup are reported separately (section 4.1).
 
+#include <algorithm>
+
 #include "bench/bench_util.h"
 #include "src/isa/assembler.h"
 
@@ -144,6 +146,22 @@ int main(int argc, char** argv) {
       return outcome;
     }
   };
+  ckbench::ShapeGate gate;
+  gate.Check("end-to-end delivery within 3x of the paper's 71 us",
+             latency.Mean() > 71.0 / 3 && latency.Mean() < 71.0 * 3);
+  // The measured end-to-end time includes the charged return path, as the
+  // paper's 71 us total does, so delivery is the remainder.
+  gate.Check("delivery costs more than the return from the handler (paper: 44 vs 27 us)",
+             latency.Mean() - ckbench::ToUs(cost.signal_return) >
+                 ckbench::ToUs(cost.signal_return));
+  gate.Check("every delivery after the first takes the fast path",
+             stats.signals_delivered_fast == uint64_t{kSignals - 1} &&
+                 stats.signals_delivered_slow == 1);
+  gate.Check("fast deliveries outnumber slow ones",
+             stats.signals_delivered_fast > stats.signals_delivered_slow);
+  gate.Check("the slow path costs more than the fast path",
+             cost.signal_deliver_slow > cost.signal_deliver_fast);
+
   NopProgram nop;
   constexpr uint32_t kRegistrations = 4;
   constexpr int kReps = 5;
@@ -160,6 +178,7 @@ int main(int argc, char** argv) {
               "teardown host ns", "sim cycles");
   ckbench::Rule();
 
+  std::vector<cksim::Cycles> teardown_cycles;
   uint32_t filler_loaded = 0;
   uint32_t next_vpage = 0;
   // One warmup teardown so the first measured row isn't cold-cache noise.
@@ -191,11 +210,16 @@ int main(int argc, char** argv) {
     }
     std::printf("  %-22u %-16u %18.0f %16.0f\n", occupancy, kRegistrations, total_ns / kReps,
                 static_cast<double>(total_cycles) / kReps);
+    teardown_cycles.push_back(total_cycles);
   }
   ckbench::Rule();
   ckbench::Note("host ns flat across occupancy = O(registrations) chain walk; the previous");
   ckbench::Note("arena scan grew linearly with the 65536-record map. sim cycles unchanged");
   ckbench::Note("by design: one hash_op per removed record (plus the thread writeback).");
+  // Host ns is not gated: it is host time, and noisy on a shared machine.
+  gate.Check("teardown sim cycles stay flat with occupancy",
+             std::count(teardown_cycles.begin(), teardown_cycles.end(),
+                        teardown_cycles.front()) == std::ssize(teardown_cycles));
   obs.Finish();
-  return 0;
+  return gate.exit_code();
 }

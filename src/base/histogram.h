@@ -53,6 +53,7 @@ class Stats {
   double Min() const { return count_ == 0 ? 0.0 : min_; }
   double Max() const { return count_ == 0 ? 0.0 : max_; }
   double Sum() const { return sum_; }
+  double SumSq() const { return sumsq_; }
 
   // p in [0,100]. Linear interpolation over the sorted reservoir; exact while
   // the sample count is within kReservoirCap, an even-stride estimate beyond.

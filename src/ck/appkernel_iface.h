@@ -127,6 +127,11 @@ class AppKernel {
 // dispatcher charges the cycles the chunk reports.
 struct NativeOutcome {
   enum class Action : uint8_t { kYield, kBlock, kHalt } action = Action::kYield;
+  // A certificate for the host, not a knob: every further Step of this thread
+  // that starts before this time would repeat this one exactly, unless a
+  // signal arrives or another agent acts. The dispatcher takes such repeats
+  // of a kYield step in one turn (docs/PERFORMANCE.md, "Spin skipping").
+  cksim::Cycles quiet_until = 0;
 };
 
 class NativeCtx;

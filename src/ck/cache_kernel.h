@@ -546,10 +546,12 @@ class CacheKernel : public cksim::MachineClient, public cksim::SignalSink {
   void Dequeue(ThreadObject* thread);
   void RunGuest(ThreadObject* thread, cksim::Cpu& cpu);
   void RunNative(ThreadObject* thread, cksim::Cpu& cpu);
-  void ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, cksim::Cycles cycles);
+  // Charges `times` identical steps of `cycles` each.
+  void ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, cksim::Cycles cycles,
+                    uint64_t times = 1);
   void RollQuotaWindow(cksim::Cpu& cpu);
-  // Earliest moment anything could act on idle `cpu` (docs/PERFORMANCE.md,
-  // "Idle skipping"); at or below its clock outside Machine::RunUntil.
+  // Earliest moment anything but its own thread could act on `cpu` (docs/
+  // PERFORMANCE.md, "Idle skipping"); at or below its clock outside RunUntil.
   cksim::Cycles IdleWakeBound(const cksim::Cpu& cpu);
   void PreemptCurrent(cksim::Cpu& cpu);
   ThreadObject* CurrentOn(cksim::Cpu& cpu) {

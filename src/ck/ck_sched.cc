@@ -321,20 +321,22 @@ Cycles CacheKernel::IdleWakeBound(const cksim::Cpu& cpu) {
   return bound;
 }
 
-void CacheKernel::ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, Cycles cycles) {
-  thread->cpu_consumed += cycles;
-  thread->slice_remaining = thread->slice_remaining > cycles
-                                ? thread->slice_remaining - cycles
+void CacheKernel::ChargeThread(ThreadObject* thread, cksim::Cpu& cpu, Cycles cycles,
+                               uint64_t times) {
+  const Cycles total = times * cycles;
+  thread->cpu_consumed += total;
+  thread->slice_remaining = thread->slice_remaining > total
+                                ? thread->slice_remaining - total
                                 : 0;
-  cpu.busy_cycles += cycles;
-  Tenant(thread->kernel_slot).guest_cycles += cycles;
+  cpu.busy_cycles += total;
+  Tenant(thread->kernel_slot).guest_cycles += total;
 
   KernelObject* owner = kernels_.SlotAt(thread->kernel_slot);
   // Graduated charging (section 4.3): a premium for high-priority execution,
   // a discount for low. weight/16 ranges from 0.5 at priority 0 to ~2.4 at 31.
-  uint64_t weighted = cycles * (8 + thread->priority) / 16;
+  uint64_t weighted = times * (cycles * (8 + thread->priority) / 16);
   owner->weighted_consumed[cpu.id()] += weighted;
-  cpu.Advance(machine_.cost().quota_account);
+  cpu.Advance(times * machine_.cost().quota_account);
 
   if (config_.enforce_quotas && owner->cpu_percent[cpu.id()] < 100 &&
       !owner->over_quota[cpu.id()]) {
@@ -540,8 +542,37 @@ void CacheKernel::RunNative(ThreadObject* thread, cksim::Cpu& cpu) {
   ChargeThread(thread, cpu, consumed);
 
   switch (outcome.action) {
-    case NativeOutcome::Action::kYield:
+    case NativeOutcome::Action::kYield: {
+      // Spin skipping: take in one turn every certified repeat that starts
+      // before anything else can act on this CPU, short of one that would
+      // expire the slice or degrade the kernel. A queued signal goes first,
+      // and so does a higher-priority thread readied during this turn.
+      if (outcome.quiet_until <= cpu.clock() || consumed == 0 || thread->signal_count > 0 ||
+          thread->slice_remaining == 0 || (ready_mask_[cpu.id()] >> thread->priority) >> 1 != 0) {
+        break;
+      }
+      const Cycles bound = std::min(outcome.quiet_until, IdleWakeBound(cpu));
+      const uint32_t c = cpu.id();
+      const Cycles per_step = consumed + machine_.cost().quota_account;
+      uint64_t k = std::min(bound > cpu.clock() ? (bound - cpu.clock() - 1) / per_step + 1 : 0,
+                            (thread->slice_remaining - 1) / consumed);
+      if (config_.enforce_quotas && owner->cpu_percent[c] < 100) {
+        // ChargeThread's budget test solved for k. A step that just degraded
+        // the kernel can be preempted at its next turn, so it ends the spin.
+        const uint64_t budget = uint64_t{owner->cpu_percent[c]} * config_.quota_window / 100;
+        const uint64_t weighted = consumed * (8 + thread->priority) / 16;
+        if (owner->over_quota[c]) {
+          k = 0;
+        } else if (weighted > 0) {
+          k = std::min(k, (budget - owner->weighted_consumed[c]) / weighted);
+        }
+      }
+      if (k > 0) {
+        cpu.Advance(k * consumed);
+        ChargeThread(thread, cpu, consumed, k);
+      }
       break;
+    }
     case NativeOutcome::Action::kBlock:
       if (thread->state == ThreadState::kRunning) {
         // A signal may have raced in during the step; stay runnable then.

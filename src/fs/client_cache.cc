@@ -37,6 +37,13 @@ uint32_t PopCount(uint64_t bits) {
 // (due = send + latency) while their payloads add serialization time on
 // top, so the ack's signal always wakes the pump before the first payload
 // is due -- the pump never blocks through a delivery.
+//
+// A spin that polled nothing changed nothing, and every later spin repeats
+// it until the queue's front payload is due (or, with an empty queue, until
+// a peer sends one). The step says so in quiet_until, and the Cache Kernel
+// takes those repeats in closed form. Reading the queue's due time is not
+// a look into the future the thread could not make: it is the same queue
+// PollBulk reads, and it only tells the host when a poll could next succeed.
 class ClientFileCache::Pump : public ckapp::RpcEndpoint {
  public:
   explicit Pump(ClientFileCache& cache)
@@ -48,10 +55,13 @@ class ClientFileCache::Pump : public ckapp::RpcEndpoint {
         cache_(cache) {}
 
   ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
-    cache_.DrainBulk(ctx.api());
+    const bool drained = cache_.DrainBulk(ctx.api());
     ck::NativeOutcome outcome;
     outcome.action = cache_.TransfersPending() ? ck::NativeOutcome::Action::kYield
                                                : ck::NativeOutcome::Action::kBlock;
+    if (!drained && cache_.device_ != nullptr) {
+      outcome.quiet_until = cache_.device_->NextBulkDue();
+    }
     return outcome;
   }
 
@@ -548,14 +558,17 @@ void ClientFileCache::MaybeReadahead(CkApi& api, Entry& entry, uint32_t page) {
   }
 }
 
-void ClientFileCache::DrainBulk(CkApi& api) {
+bool ClientFileCache::DrainBulk(CkApi& api) {
   if (device_ == nullptr) {
-    return;
+    return false;
   }
+  bool drained = false;
   std::vector<uint8_t> blob;
   while (device_->PollBulk(&blob, api.now())) {
     InstallBulk(api, blob);
+    drained = true;
   }
+  return drained;
 }
 
 void ClientFileCache::InstallBulk(CkApi& api, const std::vector<uint8_t>& blob) {

@@ -141,9 +141,10 @@ class ClientFileCache {
   };
 
   // The link's endpoint thread: serves invalidation pushes, completes our
-  // calls, and polls the device's bulk queue. Runs kYield while bulk
-  // transfers are expected (bulk deliveries raise no signal), kBlock when
-  // idle.
+  // calls, and polls the device's bulk queue. Spins (kYield) while bulk
+  // transfers are expected, because bulk deliveries raise no signal, and
+  // blocks (kBlock) otherwise. An empty poll certifies that the spin repeats
+  // until the next payload is due (NativeOutcome::quiet_until).
   class Pump;
 
   uint32_t IndexOf(const Entry& entry) const {
@@ -169,7 +170,7 @@ class ClientFileCache {
   void NoteAccess(Entry& entry, uint32_t page);
 
   // Pump-side machinery.
-  void DrainBulk(ck::CkApi& api);
+  bool DrainBulk(ck::CkApi& api);  // true if it installed or dropped a payload
   void InstallBulk(ck::CkApi& api, const std::vector<uint8_t>& blob);
   bool TransfersPending() const { return bulk_expected_ > 0; }
   std::vector<uint8_t> ServePeer(uint32_t op, const std::vector<uint8_t>& request,

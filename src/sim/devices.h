@@ -183,6 +183,11 @@ class FiberChannelDevice : public PacketDevice {
   // Claim the oldest delivered bulk payload, if one is due by `now`. `span`
   // (if non-null) receives the sender's causal span id.
   bool PollBulk(std::vector<uint8_t>* out, Cycles now, uint32_t* span = nullptr);
+  // When PollBulk could next succeed: the front payload's due time, or
+  // kNoEvent while the queue is empty. Reading it changes no simulated state.
+  Cycles NextBulkDue() const {
+    return bulk_inbound_.empty() ? kNoEvent : bulk_inbound_.front().due;
+  }
 
   // Cycles a payload of `bytes` occupies the wire (excludes base latency).
   static Cycles BulkWireCycles(size_t bytes) {

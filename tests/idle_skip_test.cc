@@ -1,15 +1,18 @@
-// Differential suite for exact idle skipping.
+// Differential suite for exact idle skipping and spin skipping.
 //
 // Inside Machine::RunUntil an idle CPU takes every idle_tick before its next
-// possible wakeup in one turn; a raw Machine::Step() still takes one tick per
-// turn. Every world here runs twice -- once through RunUntil(deadline), once
-// through `while (Now() < deadline) Step();` -- over the same deadlines, and
-// all simulated state must be bit-identical: the full CkStats (idle_turns
-// included), every tenant's CostAccount, every CPU clock after every
-// deadline, and the checkpoint image of every app kernel. Each world leans
-// on one wake bound (docs/PERFORMANCE.md, "Idle skipping"), at the default
-// idle_tick and at idle_tick 1, where every idle CPU lands exactly on its
-// bound and so ties with busy peers on every wakeup.
+// possible wakeup in one turn, and a native thread that certifies a quiet
+// spin (NativeOutcome::quiet_until) has every repeat before that wakeup
+// taken in one turn; a raw Machine::Step() still takes one tick or one spin
+// per turn. Every world here runs twice -- once through RunUntil(deadline),
+// once through `while (Now() < deadline) Step();` -- over the same deadlines,
+// and all simulated state must be bit-identical: the full CkStats
+// (idle_turns included), every tenant's CostAccount, every CPU clock after
+// every deadline, and the checkpoint image of every app kernel. Each world
+// leans on one wake bound or one stop condition (docs/PERFORMANCE.md, "Idle
+// skipping" and "Spin skipping"), at the default idle_tick and at idle_tick
+// 1, where every idle CPU lands exactly on its bound and so ties with busy
+// peers on every wakeup.
 
 #include <gtest/gtest.h>
 
@@ -66,7 +69,17 @@ struct Rig {
   std::vector<std::unique_ptr<ck::NativeProgram>> programs;
   std::vector<std::unique_ptr<ckapp::AppKernelBase>> apps;
   std::unique_ptr<cksim::ClockDevice> clock;
+  std::unique_ptr<cksim::FiberChannelDevice> link[2];
+  // Counts a unit of work and folds the clock it happened at into `trail`,
+  // so work that moves in time shows even where clocks re-align later.
+  void Note(cksim::Cycles at) {
+    ++work;
+    trail = trail * 1000003 + at;
+  }
+
   uint64_t work = 0;
+  uint64_t trail = 0;
+  uint64_t spins = 0;  // Step calls of spinning threads: fewer when skipped
   TestWorld world;
   TurnCounter counter;
 };
@@ -80,6 +93,8 @@ struct Observed {
   std::vector<std::vector<uint8_t>> images;
   uint64_t turns = 0;
   uint64_t work = 0;
+  uint64_t trail = 0;
+  uint64_t spins = 0;
 };
 
 // Deadlines step by an odd stride, so most fall between idle ticks.
@@ -107,6 +122,8 @@ Observed Run(const Scenario& setup, const WorldOptions& options, cksim::Cycles e
   out.tenants = rig.world.ck().tenant_accounts();
   out.turns = rig.counter.turns;
   out.work = rig.work;
+  out.trail = rig.trail;
+  out.spins = rig.spins;
   cksim::StableStore store;
   for (const auto& app : rig.apps) {
     EXPECT_EQ(rig.world.srm().CheckpointToStore(*app, store, app->name()), CkStatus::kOk);
@@ -137,8 +154,12 @@ Observed ExpectSkipExact(const Scenario& setup, WorldOptions options, cksim::Cyc
     EXPECT_EQ(skipped.clocks, stepped.clocks) << "CPU clocks differ";
     EXPECT_EQ(skipped.images, stepped.images) << "checkpoint images differ";
     EXPECT_EQ(skipped.work, stepped.work);
+    EXPECT_EQ(skipped.trail, stepped.trail) << "work happened at different times";
     EXPECT_GT(skipped.stats.idle_turns, 0u);
     EXPECT_LT(skipped.turns, stepped.turns) << "RunUntil skipped no idle ticks";
+    if (stepped.spins > 0) {
+      EXPECT_LT(skipped.spins, stepped.spins) << "RunUntil skipped no spins";
+    }
     if (tick == 100) {
       result = skipped;
     }
@@ -161,15 +182,15 @@ ck::NativeOutcome Outcome(ck::NativeOutcome::Action action) {
 // Runs a short unit of work per wakeup, then blocks until resumed.
 class Worker : public ck::NativeProgram {
  public:
-  Worker(uint64_t* work, cksim::Cycles cost) : work_(work), cost_(cost) {}
+  Worker(Rig& rig, cksim::Cycles cost) : rig_(rig), cost_(cost) {}
   ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    rig_.Note(ctx.api().now());
     ctx.Charge(cost_);
-    ++*work_;
     return Outcome(ck::NativeOutcome::Action::kBlock);
   }
 
  private:
-  uint64_t* work_;
+  Rig& rig_;
   cksim::Cycles cost_;
 };
 
@@ -223,7 +244,7 @@ Scenario BusyPeer(uint8_t producer_cpu, uint8_t consumer_cpu) {
     ckapp::AppKernelBase& app = AddApp(rig, "busy-peer");
     ck::CkApi api = rig.ApiFor(app);
     uint32_t space = app.CreateSpace(api);
-    auto* consumer = rig.Make<Worker>(&rig.work, 150);
+    auto* consumer = rig.Make<Worker>(rig, 150);
     auto* producer = rig.Make<Producer>(400);
     uint32_t c = app.CreateNativeThread(api, space, consumer, 10, false, consumer_cpu);
     app.CreateNativeThread(api, space, producer, 10, false, producer_cpu);
@@ -275,7 +296,7 @@ TEST(IdleSkipTest, CrossCpuSignalWakesIdlePeers) {
     auto* relay = rig.Make<Relay>();
     uint32_t r = app.CreateNativeThread(api, space, relay, 20, false, 2);
     for (uint8_t cpu : {1, 3}) {
-      uint32_t w = app.CreateNativeThread(api, space, rig.Make<Worker>(&rig.work, 300), 10,
+      uint32_t w = app.CreateNativeThread(api, space, rig.Make<Worker>(rig, 300), 10,
                                           false, cpu);
       relay->targets.push_back(IdOf(app, w));
     }
@@ -308,7 +329,7 @@ TEST(IdleSkipTest, ClockDeviceTickWakesIdleCpu) {
     uint32_t space = app.CreateSpace(api);
     auto* relay = rig.Make<Relay>();
     uint32_t r = app.CreateNativeThread(api, space, relay, 20, false, 3);
-    uint32_t w = app.CreateNativeThread(api, space, rig.Make<Worker>(&rig.work, 900), 10, false,
+    uint32_t w = app.CreateNativeThread(api, space, rig.Make<Worker>(rig, 900), 10, false,
                                         1);
     relay->targets.push_back(IdOf(app, w));
     app.DefineFrameRegion(space, 0x00700000, 1, tick_page, /*writable=*/false, /*message=*/true,
@@ -410,11 +431,11 @@ TEST(IdleSkipTest, TierPromotionScanRunsOnTime) {
 // Computes `burst` chunks, then sleeps `pause` cycles on an app event.
 class Burster : public ck::NativeProgram {
  public:
-  Burster(uint32_t burst, cksim::Cycles pause, uint64_t* work)
-      : burst_(burst), pause_(pause), work_(work) {}
+  Burster(uint32_t burst, cksim::Cycles pause, Rig& rig)
+      : burst_(burst), pause_(pause), rig_(rig) {}
   ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    rig_.Note(ctx.api().now());
     ctx.Charge(2000);
-    ++*work_;
     if (++steps_ % burst_ != 0) {
       return Outcome(ck::NativeOutcome::Action::kYield);
     }
@@ -426,7 +447,7 @@ class Burster : public ck::NativeProgram {
  private:
   uint32_t burst_;
   cksim::Cycles pause_;
-  uint64_t* work_;
+  Rig& rig_;
   uint32_t steps_ = 0;
 };
 
@@ -443,9 +464,9 @@ TEST(IdleSkipTest, QuotaWindowRollsOnIdleCpu) {
     ck::CkApi other_api = rig.ApiFor(other);
     uint32_t rogue_space = rogue.CreateSpace(rogue_api);
     uint32_t other_space = other.CreateSpace(other_api);
-    rogue.CreateNativeThread(rogue_api, rogue_space, rig.Make<Burster>(30, 150001, &rig.work), 10,
+    rogue.CreateNativeThread(rogue_api, rogue_space, rig.Make<Burster>(30, 150001, rig), 10,
                              false, 2);
-    other.CreateNativeThread(other_api, other_space, rig.Make<Burster>(6, 110017, &rig.work), 10,
+    other.CreateNativeThread(other_api, other_space, rig.Make<Burster>(6, 110017, rig), 10,
                              false, 2);
   };
   WorldOptions options;
@@ -455,6 +476,266 @@ TEST(IdleSkipTest, QuotaWindowRollsOnIdleCpu) {
   // the window roll, and a missing roll bound would go unseen.
   Observed run = ExpectSkipExact(setup, options, 1000000, 250013);
   EXPECT_GT(run.stats.quota_degradations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Spin skipping: a polling thread certifies that its empty polls repeat
+// (NativeOutcome::quiet_until), and the dispatcher takes the repeats in one
+// turn. Each world below stops a skip in one way: an arrival the poll
+// certifies, a signal, slice expiry, a higher-priority thread readied by a
+// busy peer, the quota budget, and a device event.
+// ---------------------------------------------------------------------------
+
+// Spins (kYield) forever, charging `cost` per spin (0: the kernel's one
+// instruction, like the file-service pump). A spin that finds nothing to do
+// certifies quiet until its next possible arrival: the front of `bulk`'s
+// queue, or its next self-signal time. Polled payloads and signals are work.
+// With `signal_period`, the first spin at or after each multiple of it
+// signals `signal_addr`, a message page whose signal thread is this one, so
+// the signal is queued on the thread when the step returns. Each signal it
+// takes resumes the threads in `wake`.
+class Spinner : public ck::NativeProgram {
+ public:
+  Spinner(Rig& rig, cksim::Cycles cost) : rig_(rig), cost_(cost) {}
+  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    ++rig_.spins;
+    // Every decision reads the clock the step starts at, which is what
+    // quiet_until speaks about.
+    const cksim::Cycles start = ctx.api().now();
+    ck::NativeOutcome outcome = Outcome(ck::NativeOutcome::Action::kYield);
+    std::vector<uint8_t> payload;
+    bool polled = false;
+    while (bulk != nullptr && bulk->PollBulk(&payload, start)) {
+      rig_.Note(ctx.api().now());
+      ctx.Charge(200 + payload.size() / 8);
+      polled = true;
+    }
+    if (signal_period != 0 && start >= next_signal_) {
+      next_signal_ = (start / signal_period + 1) * signal_period;
+      ctx.api().Signal(signal_space, signal_addr);
+    }
+    if (cost_ != 0) {
+      ctx.Charge(cost_);
+    }
+    if (!polled) {
+      outcome.quiet_until = bulk != nullptr ? bulk->NextBulkDue() : cksim::Device::kNoEvent;
+      if (signal_period != 0) {
+        outcome.quiet_until = std::min(outcome.quiet_until, next_signal_);
+      }
+    }
+    return outcome;
+  }
+  void OnSignal(cksim::VirtAddr, ck::NativeCtx& ctx) override {
+    rig_.Note(ctx.api().now());
+    ctx.Charge(170);
+    for (ck::ThreadId thread : wake) {
+      ctx.api().ResumeThread(thread);
+    }
+  }
+
+  cksim::FiberChannelDevice* bulk = nullptr;
+  std::vector<ck::ThreadId> wake;
+  cksim::Cycles signal_period = 0;
+  ck::SpaceId signal_space;
+  cksim::VirtAddr signal_addr = 0;
+
+ private:
+  Rig& rig_;
+  cksim::Cycles cost_;
+  cksim::Cycles next_signal_ = 0;
+};
+
+// Computes in uneven chunks (kYield), then blocks for good after `limit`.
+class Cruncher : public ck::NativeProgram {
+ public:
+  explicit Cruncher(uint32_t limit) : limit_(limit) {}
+  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    ctx.Charge(1709 + 211 * (steps_ % 5));
+    return Outcome(++steps_ < limit_ ? ck::NativeOutcome::Action::kYield
+                                     : ck::NativeOutcome::Action::kBlock);
+  }
+
+ private:
+  uint32_t steps_ = 0;
+  uint32_t limit_;
+};
+
+// Ships a bulk payload of uneven size, then sleeps on an app event; stops
+// after `limit` payloads.
+class BulkFeeder : public ck::NativeProgram {
+ public:
+  BulkFeeder(cksim::FiberChannelDevice* link, uint32_t limit) : link_(link), limit_(limit) {}
+  ck::NativeOutcome Step(ck::NativeCtx& ctx) override {
+    ctx.Charge(400);
+    link_->SendBulk(std::vector<uint8_t>(700 + 1531 * (sent_ % 5)), ctx.api().now());
+    if (++sent_ < limit_) {
+      ck::ThreadId self = ctx.self_thread();
+      ctx.api().ScheduleAfter(6007 + 977 * (sent_ % 3),
+                              [self](ck::CkApi& later) { later.ResumeThread(self); });
+    }
+    return Outcome(ck::NativeOutcome::Action::kBlock);
+  }
+
+ private:
+  cksim::FiberChannelDevice* link_;
+  uint32_t limit_;
+  uint32_t sent_ = 0;
+};
+
+TEST(SpinSkipTest, BulkArrivalThroughLinkedFiberChannel) {
+  Scenario setup = [](Rig& rig) {
+    ckapp::AppKernelBase& app = AddApp(rig, "bulk");
+    uint32_t group = rig.world.srm().ReserveGroups(1).value();
+    for (uint32_t i = 0; i < 2; ++i) {
+      rig.link[i] = std::make_unique<cksim::FiberChannelDevice>(
+          rig.world.machine().memory(), &rig.world.ck(),
+          group * cksim::kPageGroupBytes + i * 2 * cksim::kPageSize, 1, 1,
+          /*wire_latency=*/2500);
+      rig.world.machine().AttachDevice(rig.link[i].get());
+    }
+    cksim::FiberChannelDevice::Connect(*rig.link[0], *rig.link[1]);
+    ck::CkApi api = rig.ApiFor(app);
+    uint32_t space = app.CreateSpace(api);
+    auto* poller = rig.Make<Spinner>(rig, 0);
+    poller->bulk = rig.link[1].get();
+    app.CreateNativeThread(api, space, poller, 10, false, 2);
+    app.CreateNativeThread(api, space, rig.Make<BulkFeeder>(rig.link[0].get(), 40), 10, false,
+                           0);
+  };
+  Observed run = ExpectSkipExact(setup, WorldOptions(), 500000);
+  EXPECT_EQ(run.work, 40u) << "every payload polled";
+}
+
+TEST(SpinSkipTest, SignalLandsMidSkip) {
+  Scenario setup = [](Rig& rig) {
+    ckapp::AppKernelBase& app = AddApp(rig, "signal");
+    ck::CkApi api = rig.ApiFor(app);
+    uint32_t space = app.CreateSpace(api);
+    auto* spinner = rig.Make<Spinner>(rig, 40);
+    uint32_t s = app.CreateNativeThread(api, space, spinner, 10, false, 2);
+    cksim::PhysAddr frame = app.frames().Allocate();
+    app.DefineFrameRegion(space, 0x00800000, 1, frame, /*writable=*/true, /*message=*/true);
+    app.DefineFrameRegion(space, 0x00900000, 1, frame, /*writable=*/false, /*message=*/true, s);
+    ASSERT_EQ(app.EnsureMappingLoaded(api, space, 0x00800000), CkStatus::kOk);
+    ASSERT_EQ(app.EnsureMappingLoaded(api, space, 0x00900000), CkStatus::kOk);
+    // Cross-CPU signals from CPU 0 land on the spinner mid-spin; its own
+    // signals are queued on it when its step returns.
+    app.CreateNativeThread(api, space, rig.Make<Sender>(app.space(space).ck_id, 15), 10, false,
+                           0);
+    spinner->signal_period = 31013;
+    spinner->signal_space = app.space(space).ck_id;
+    spinner->signal_addr = 0x00800000;
+  };
+  Observed run = ExpectSkipExact(setup, WorldOptions(), 400000);
+  EXPECT_GE(run.work, 15u + 400000 / 31013) << "every signal taken";
+  EXPECT_GT(run.stats.signals_delivered_fast + run.stats.signals_delivered_slow, 15u);
+}
+
+// The spinner's own signal handler readies a higher-priority thread on its
+// CPU, so the turn after the handler's step preempts the spinner.
+TEST(SpinSkipTest, SignalHandlerReadiesHigherPriority) {
+  Scenario setup = [](Rig& rig) {
+    ckapp::AppKernelBase& app = AddApp(rig, "signal-wake");
+    ck::CkApi api = rig.ApiFor(app);
+    uint32_t space = app.CreateSpace(api);
+    auto* spinner = rig.Make<Spinner>(rig, 40);
+    uint32_t s = app.CreateNativeThread(api, space, spinner, 10, false, 2);
+    uint32_t w = app.CreateNativeThread(api, space, rig.Make<Worker>(rig, 150), 20, false, 2);
+    spinner->wake.push_back(IdOf(app, w));
+    cksim::PhysAddr frame = app.frames().Allocate();
+    app.DefineFrameRegion(space, 0x00800000, 1, frame, /*writable=*/true, /*message=*/true);
+    app.DefineFrameRegion(space, 0x00900000, 1, frame, /*writable=*/false, /*message=*/true, s);
+    ASSERT_EQ(app.EnsureMappingLoaded(api, space, 0x00800000), CkStatus::kOk);
+    ASSERT_EQ(app.EnsureMappingLoaded(api, space, 0x00900000), CkStatus::kOk);
+    app.CreateNativeThread(api, space, rig.Make<Sender>(app.space(space).ck_id, 15), 10, false,
+                           0);
+  };
+  Observed run = ExpectSkipExact(setup, WorldOptions(), 400000);
+  EXPECT_GE(run.work, 2u * 15) << "every signal taken, every wakeup run";
+  EXPECT_GE(run.stats.preemptions, 15u);
+}
+
+TEST(SpinSkipTest, SliceExpiryRotatesEqualPriority) {
+  Scenario setup = [](Rig& rig) {
+    ckapp::AppKernelBase& app = AddApp(rig, "slice");
+    ck::CkApi api = rig.ApiFor(app);
+    uint32_t space = app.CreateSpace(api);
+    app.CreateNativeThread(api, space, rig.Make<Spinner>(rig, 50), 10, false, 1);
+    app.CreateNativeThread(api, space, rig.Make<Cruncher>(120), 10, false, 1);
+  };
+  Observed run = ExpectSkipExact(setup, WorldOptions(), 600000);
+  EXPECT_GT(run.stats.preemptions, 10u);
+}
+
+Scenario SpinnerPreemptedByPeer(uint8_t producer_cpu, uint8_t spinner_cpu) {
+  return [=](Rig& rig) {
+    ckapp::AppKernelBase& app = AddApp(rig, "spin-peer");
+    ck::CkApi api = rig.ApiFor(app);
+    uint32_t space = app.CreateSpace(api);
+    app.CreateNativeThread(api, space, rig.Make<Spinner>(rig, 0), 10, false, spinner_cpu);
+    auto* worker = rig.Make<Worker>(rig, 150);
+    auto* producer = rig.Make<Producer>(400);
+    uint32_t w = app.CreateNativeThread(api, space, worker, 20, false, spinner_cpu);
+    app.CreateNativeThread(api, space, producer, 10, false, producer_cpu);
+    producer->consumer = IdOf(app, w);
+  };
+}
+
+TEST(SpinSkipTest, BusyPeerReadiesHigherPriorityOnHigherIndexCpu) {
+  Observed run = ExpectSkipExact(SpinnerPreemptedByPeer(0, 2), WorldOptions(), 400000);
+  EXPECT_GT(run.work, 50u);
+}
+
+TEST(SpinSkipTest, BusyPeerReadiesHigherPriorityOnLowerIndexCpu) {
+  Observed run = ExpectSkipExact(SpinnerPreemptedByPeer(3, 1), WorldOptions(), 400000);
+  EXPECT_GT(run.work, 50u);
+}
+
+TEST(SpinSkipTest, QuotaBudgetCrossedInsideSpin) {
+  Scenario setup = [](Rig& rig) {
+    rig.apps.push_back(std::make_unique<ckapp::AppKernelBase>("rogue", 32));
+    ckapp::AppKernelBase& rogue = *rig.apps.back();
+    cksrm::LaunchParams params;
+    params.page_groups = 1;
+    params.cpu_percent[2] = 20;
+    ASSERT_TRUE(rig.world.srm().Launch(rogue, params).ok());
+    ckapp::AppKernelBase& other = AddApp(rig, "other");
+    ck::CkApi rogue_api = rig.ApiFor(rogue);
+    ck::CkApi other_api = rig.ApiFor(other);
+    uint32_t rogue_space = rogue.CreateSpace(rogue_api);
+    uint32_t other_space = other.CreateSpace(other_api);
+    rogue.CreateNativeThread(rogue_api, rogue_space, rig.Make<Spinner>(rig, 300), 10, false, 2);
+    // Lower priority: it runs only while the spinner's kernel is degraded.
+    other.CreateNativeThread(other_api, other_space, rig.Make<Burster>(6, 40009, rig), 5,
+                             false, 2);
+  };
+  WorldOptions options;
+  options.ck.enforce_quotas = true;
+  options.ck.quota_window = 50021;
+  Observed run = ExpectSkipExact(setup, options, 1000000, 250013);
+  EXPECT_GT(run.stats.quota_degradations, 5u);
+  EXPECT_GT(run.work, 12u) << "the other kernel ran while the spinner's was degraded";
+}
+
+TEST(SpinSkipTest, DeviceEventSignalsSpinner) {
+  Scenario setup = [](Rig& rig) {
+    ckapp::AppKernelBase& app = AddApp(rig, "spin-clock");
+    uint32_t group = rig.world.srm().ReserveGroups(1).value();
+    cksim::PhysAddr tick_page = group * cksim::kPageGroupBytes;
+    rig.clock = std::make_unique<cksim::ClockDevice>(tick_page, &rig.world.ck());
+    rig.world.machine().AttachDevice(rig.clock.get());
+    ASSERT_EQ(rig.world.srm().GrantSharedGroups(app, group, 1, ck::GroupAccess::kRead),
+              CkStatus::kOk);
+    ck::CkApi api = rig.ApiFor(app);
+    uint32_t space = app.CreateSpace(api);
+    uint32_t s = app.CreateNativeThread(api, space, rig.Make<Spinner>(rig, 0), 10, false, 3);
+    app.DefineFrameRegion(space, 0x00700000, 1, tick_page, /*writable=*/false, /*message=*/true,
+                          s);
+    ASSERT_EQ(app.EnsureMappingLoaded(api, space, 0x00700000), CkStatus::kOk);
+    rig.clock->Start(/*first_tick=*/30001, /*period=*/25013);
+  };
+  Observed run = ExpectSkipExact(setup, WorldOptions(), 400000);
+  EXPECT_GE(run.work, uint64_t{(400000 - 30001) / 25013}) << "one signal per tick";
 }
 
 // ---------------------------------------------------------------------------
